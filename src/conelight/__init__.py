@@ -57,6 +57,7 @@ from .maps import (
     MonomialMap,
     conjugate_log_map,
     evaluate,
+    evaluate_batch,
     load_map,
     map_from_spec,
     normalize,
@@ -89,6 +90,7 @@ __all__ = [
     "conjugate_log_map",
     "estimate_eigenvector",
     "evaluate",
+    "evaluate_batch",
     "exp_map",
     "extreme_points",
     "hilbert_distance",

@@ -127,12 +127,19 @@ def _cmd_illuminate_optimal(args) -> int:
     return EXIT_OK
 
 
-def _cmd_illuminate_verify(args) -> int:
-    with open(args.directions, "r", encoding="utf-8") as fh:
+def _read_directions(path: str) -> list[np.ndarray]:
+    with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise _UsageError("directions file must hold a JSON array of float arrays")
-    directions = [np.asarray(w, dtype=float) for w in raw]
+    if isinstance(raw, list):
+        try:
+            return [np.asarray(w, dtype=float) for w in raw]
+        except (TypeError, ValueError):
+            pass
+    raise _UsageError("directions file must hold a JSON array of float arrays")
+
+
+def _cmd_illuminate_verify(args) -> int:
+    directions = _read_directions(args.directions)
     report = illumination.verify_illumination(directions, args.n)
     _emit({"command": "illuminate-verify", **report.to_dict()})
     return EXIT_OK

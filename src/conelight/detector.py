@@ -18,13 +18,19 @@ form an antichain, any halting run needs at least C(n, ceil(n/2)) samples.
 `chain_schedule` produces deterministic test points, one per chain of a
 symmetric chain decomposition, that typically meet this bound exactly on
 well-conditioned maps.
+
+The sampling loop works on blocks of BLOCK_SIZE test points: one draw, one
+map evaluation, one sort and one subset update per block.  A subset is a
+bitmask (bit i - 1 for index i) until the ledger first records it; a run
+that halts inside a block stops at exactly the sample that completed the
+ledger, so the block size never shows in a report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from .maps import (
     DYNAMIC_RANGE_CAP,
     ConeMap,
     evaluate,
+    evaluate_batch,
     ratio_vector,
     verify_cone_map,
 )
@@ -44,6 +51,36 @@ SAMPLER_MODES = ("unit-box", "log-uniform", "scheduled")
 # a gap this small could falsely certify an inequality.
 RATIO_TIE_RTOL = 1e-12
 
+# Test points drawn, evaluated and recorded together by `run`.
+BLOCK_SIZE = 512
+
+
+def _prefix_masks(ratios: np.ndarray, rel_tol: float = RATIO_TIE_RTOL) -> np.ndarray:
+    """The subsets each row of a (B, n) ratio array witnesses, as bitmasks.
+
+    Column c of the (B, n - 1) result is the mask of the c + 1 indices
+    with the smallest ratios when the gap after them is strict, else 0, so
+    a row lists its nested chain smallest first.  Gaps below `rel_tol`
+    relative are ties and never recorded across.  Masks are int64 up to
+    n = 62 and Python ints beyond.
+    """
+    order = np.argsort(ratios, axis=1, kind="stable")
+    ranked = np.take_along_axis(ratios, order, axis=1)
+    cur, nxt = ranked[:, :-1], ranked[:, 1:]
+    bits = order[:, :-1] if ratios.shape[1] <= 62 else order[:, :-1].astype(object)
+    prefixes = np.cumsum(np.left_shift(1, bits), axis=1)
+    return np.where(nxt - cur > rel_tol * nxt, prefixes, 0)
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The 1-based indices of the set bits of `mask`, ascending."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length())
+        mask ^= low
+    return tuple(members)
+
 
 def recordable_subsets(ratios, rel_tol: float = RATIO_TIE_RTOL) -> list[frozenset[int]]:
     """Subsets witnessed by one ratio vector, smallest first.
@@ -53,18 +90,8 @@ def recordable_subsets(ratios, rel_tol: float = RATIO_TIE_RTOL) -> list[frozense
     across.  At most n - 1 subsets result and they are nested by
     construction.
     """
-    r = np.asarray(ratios, dtype=float)
-    order = np.argsort(r, kind="stable")
-    recorded: list[frozenset[int]] = []
-    members: list[int] = []
-    for pos in range(r.size):
-        members.append(int(order[pos]) + 1)
-        if pos + 1 == r.size:
-            break
-        cur, nxt = r[order[pos]], r[order[pos + 1]]
-        if nxt - cur > rel_tol * nxt:
-            recorded.append(frozenset(members))
-    return recorded
+    masks = _prefix_masks(np.asarray(ratios, dtype=float).reshape(1, -1), rel_tol)
+    return [frozenset(_members(m)) for m in masks[0].tolist() if m]
 
 
 @dataclass(frozen=True)
@@ -81,7 +108,9 @@ class SubsetLedger:
     """Recorded nonempty proper subsets plus a capped per-sample history.
 
     History beyond `history_cap` is dropped; the counters keep the full
-    summary either way.
+    summary either way.  `recorded` holds the subsets as frozensets;
+    alongside, `note_block` keeps the bitmask of each recorded subset
+    mapped to its sorted members.
     """
 
     def __init__(self, n: int, history_cap: int = 1000):
@@ -90,6 +119,7 @@ class SubsetLedger:
         self.n = n
         self.history_cap = history_cap
         self.recorded: set[frozenset[int]] = set()
+        self._members: dict[int, tuple[int, ...]] = {}
         self.history: list[SampleRecord] = []
         self.samples_seen = 0
 
@@ -100,27 +130,55 @@ class SubsetLedger:
     def is_complete(self) -> bool:
         return len(self.recorded) == self.total
 
-    def note_sample(self, point, ratios, subsets: Sequence[frozenset[int]]) -> None:
-        self.samples_seen += 1
-        self.recorded.update(subsets)
-        if len(self.history) < self.history_cap:
+    def note_block(self, points: np.ndarray, ratios: np.ndarray, masks: np.ndarray) -> int:
+        """Take a block of samples in order, given their points, ratios and
+        `_prefix_masks`, up to the sample that completes the ledger.
+
+        Returns the number of samples taken: the whole block, unless the
+        ledger filled inside it.
+        """
+        rows, cols = np.nonzero(masks)
+        found, first = np.unique(masks[rows, cols], return_index=True)
+        new = [
+            (row, mask)
+            for mask, row in zip(found.tolist(), rows[first].tolist())
+            if mask not in self._members
+        ]
+        taken = len(masks)
+        if new and len(self._members) + len(new) >= self.total:
+            taken = max(row for row, _ in new) + 1
+        for _, mask in new:
+            members = self._members[mask] = _members(mask)
+            self.recorded.add(frozenset(members))
+        kept = min(taken, self.history_cap - len(self.history))
+        for i, (point, ratio, row) in enumerate(
+            zip(points[:kept].tolist(), ratios[:kept].tolist(), masks[:kept].tolist())
+        ):
             self.history.append(
                 SampleRecord(
-                    index=self.samples_seen,
-                    point=tuple(float(v) for v in point),
-                    ratios=tuple(float(v) for v in ratios),
-                    recorded=tuple(tuple(sorted(s)) for s in subsets),
+                    index=self.samples_seen + i + 1,
+                    point=tuple(point),
+                    ratios=tuple(ratio),
+                    recorded=tuple(self._members[m] for m in row if m),
                 )
             )
+        self.samples_seen += taken
+        return taken
+
+
+def _record_block(f: ConeMap, points, ledger: SubsetLedger) -> np.ndarray:
+    """Evaluate a (B, n) block of test points and record what they witness,
+    stopping at the sample that completes the ledger; returns the prefix
+    masks of the samples taken."""
+    ratios = evaluate_batch(f, points) / points
+    masks = _prefix_masks(ratios)
+    return masks[: ledger.note_block(points, ratios, masks)]
 
 
 def record_step(f: ConeMap, x, ledger: SubsetLedger) -> list[frozenset[int]]:
     """Evaluate one test point, record what it witnesses, return the subsets."""
-    xv = as_positive_vector(x)
-    ratios = ratio_vector(f, xv)
-    subsets = recordable_subsets(ratios)
-    ledger.note_sample(xv, ratios, subsets)
-    return subsets
+    masks = _record_block(f, as_positive_vector(x)[np.newaxis], ledger)
+    return [frozenset(_members(m)) for m in masks[0].tolist() if m]
 
 
 def min_remaining_lower_bound(ledger: SubsetLedger) -> int:
@@ -163,8 +221,15 @@ class SamplerConfig:
     def __post_init__(self):
         if self.mode not in SAMPLER_MODES:
             raise ValueError(f"mode must be one of {SAMPLER_MODES}")
-        if self.radius <= 0.0:
+        if not self.radius > 0.0:
             raise ValueError("radius must be positive")
+        if 2.0 * self.radius > math.log(DYNAMIC_RANGE_CAP):
+            # coordinates span exp(2 * radius); beyond the cap the ratios
+            # are untrustworthy and exp under- or overflows
+            raise ValueError(
+                f"radius must satisfy exp(2 * radius) <= {DYNAMIC_RANGE_CAP:g}, "
+                f"so at most {math.log(DYNAMIC_RANGE_CAP) / 2:.4g}"
+            )
         if self.beta <= 1.0:
             raise ValueError("beta must exceed 1")
         if self.max_iterations < 1:
@@ -325,14 +390,14 @@ def estimate_eigenvector(
     )
 
 
-def _draw_point(mode: str, rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    x = np.ones(n)
+def _draw_block(mode: str, rng: np.random.Generator, size: int, n: int, radius: float) -> np.ndarray:
+    # one (size, n - 1) draw yields the same stream as `size` draws of n - 1
+    x = np.ones((size, n))
     if mode == "unit-box":
-        x[1:] = rng.uniform(0.0, 1.0, n - 1)
         # uniform(0, 1) can return 0.0 exactly; nudge into the open interval
-        x[1:] = np.maximum(x[1:], np.finfo(float).tiny)
+        x[:, 1:] = np.maximum(rng.uniform(0.0, 1.0, (size, n - 1)), np.finfo(float).tiny)
     else:
-        x[1:] = np.exp(rng.uniform(-radius, radius, n - 1))
+        x[:, 1:] = np.exp(rng.uniform(-radius, radius, (size, n - 1)))
     return x
 
 
@@ -350,25 +415,34 @@ def run(f: ConeMap, cfg: SamplerConfig) -> DetectionReport:
 
     halted = ledger.is_complete()  # n == 1 has nothing to record
     if not halted:
-        rng = np.random.default_rng(cfg.seed)
         if cfg.mode == "scheduled":
             raw = cfg.points if cfg.points is not None else chain_schedule(n, cfg.beta)
             budget = min(len(raw), cfg.max_iterations)
-            points = (as_positive_vector(p) for p in raw[:budget])
+
+            def block(start: int, stop: int) -> np.ndarray:
+                return np.asarray(raw[start:stop], dtype=float)
+
         else:
+            rng = np.random.default_rng(cfg.seed)
             budget = cfg.max_iterations
-            points = (
-                _draw_point(cfg.mode, rng, n, cfg.radius) for _ in range(budget)
-            )
-        for x in points:
-            record_step(f, x, ledger)
+
+            def block(start: int, stop: int) -> np.ndarray:
+                return _draw_block(cfg.mode, rng, stop - start, n, cfg.radius)
+
+        for start in range(0, budget, BLOCK_SIZE):
+            _record_block(f, block(start, min(start + BLOCK_SIZE, budget)), ledger)
             if ledger.is_complete():
                 halted = True
                 break
 
-    if halted and n >= 2:
-        # chain/antichain bound: a halting run cannot beat the middle layer
-        assert ledger.samples_seen >= math.comb(n, (n + 1) // 2)
+    bound = math.comb(n, (n + 1) // 2)
+    if halted and n >= 2 and ledger.samples_seen < bound:
+        # chain/antichain bound: a halting run cannot beat the middle layer,
+        # so this can only mean the recording itself is unsound
+        raise RuntimeError(
+            f"run halted after {ledger.samples_seen} samples, below the chain "
+            f"bound C({n}, {(n + 1) // 2}) = {bound}"
+        )
 
     estimate = None
     if halted:

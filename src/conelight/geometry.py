@@ -31,17 +31,31 @@ class DimensionMismatchError(ValueError):
     """Two vectors, or a map and a vector, disagree in dimension."""
 
 
+def _check_positive(arr: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coordinates must be finite")
+    if np.any(arr <= 0.0):
+        raise ValueError("coordinates must be strictly positive")
+    return arr
+
+
 def as_positive_vector(x) -> np.ndarray:
     """Validate and return `x` as a 1-D float array with all coordinates
     finite and strictly positive."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("expected a one-dimensional vector with at least one coordinate")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coordinates must be finite")
-    if np.any(arr <= 0.0):
-        raise ValueError("coordinates must be strictly positive")
-    return arr
+    return _check_positive(arr)
+
+
+def as_positive_rows(x) -> np.ndarray:
+    """Validate and return `x` as a 2-D float array whose rows are vectors
+    with all coordinates finite and strictly positive; one check covers
+    the whole block."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise ValueError("expected a two-dimensional array of rows with at least one coordinate")
+    return _check_positive(arr)
 
 
 def as_finite_vector(v) -> np.ndarray:

@@ -93,6 +93,36 @@ def test_illuminate_verify(capsys, tmp_path):
     assert doc["unilluminated"]
 
 
+@pytest.mark.parametrize("content", [[{"a": 1}], [[1.0, {"a": 1}]], [["x", 1.0]], {"a": 1}])
+def test_illuminate_verify_malformed_directions_is_one_json_error(capsys, tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    code = dispatch(["illuminate-verify", "-n", "3", "--directions", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"]["type"] == "usage"
+    assert "Traceback" not in captured.err
+
+
+def test_detect_non_numeric_map_data_is_one_json_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "matrix", "data": {"x": 1}}))
+    code = dispatch(["detect", "--map", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    doc = json.loads(captured.out)
+    assert doc["error"]["type"] == "invalid_map"
+    assert doc["error"]["violation"] == "not_numeric"
+    assert "Traceback" not in captured.err
+
+
+def test_detect_radius_beyond_dynamic_range_is_exit_1(capsys, matrix_file):
+    code, doc = run_cli(capsys, ["detect", "--map", matrix_file, "--radius", "1000"])
+    assert code == 1
+    assert doc["error"]["type"] == "invalid_input"
+    assert "radius" in doc["error"]["message"]
+
+
 def test_detect_budget_exhausted_is_exit_2(capsys, shear2_file):
     code, doc = run_cli(
         capsys,

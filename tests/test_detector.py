@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conelight.detector as detector
 from conelight.detector import (
+    BLOCK_SIZE,
+    RATIO_TIE_RTOL,
     DetectionReport,
     SamplerConfig,
     SubsetLedger,
@@ -22,6 +25,8 @@ from conelight.maps import (
     InvalidMapError,
     MatrixMap,
     MaxPlusMap,
+    MonomialMap,
+    evaluate,
     ratio_vector,
     shear2_map,
 )
@@ -301,6 +306,31 @@ def test_sampler_config_validation():
         SamplerConfig(seed=-1)
 
 
+@pytest.mark.parametrize("radius", [14.0, 1000.0, float("inf"), float("nan")])
+def test_sampler_config_rejects_radius_beyond_dynamic_range(radius):
+    # log-uniform coordinates span exp(2 * radius), which must stay within
+    # the dynamic range cap 1e12
+    with pytest.raises(ValueError):
+        SamplerConfig(radius=radius)
+
+
+def test_sampler_config_accepts_radius_at_dynamic_range():
+    SamplerConfig(radius=13.8)
+    report = run(
+        MatrixMap([[2, 1], [1, 2]]), SamplerConfig(radius=13.8, seed=1, history_cap=0)
+    )
+    assert report.halted
+
+
+def test_chain_bound_is_checked_explicitly(monkeypatch):
+    # a ledger that claims completion after one sample must be refused by
+    # a check that survives python -O, not by an assert
+    monkeypatch.setattr(SubsetLedger, "is_complete", lambda self: self.samples_seen > 0)
+    m = MatrixMap([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+    with pytest.raises(RuntimeError, match="chain bound"):
+        run(m, SamplerConfig(mode="scheduled", points=((1.0, 2.0, 3.0),)))
+
+
 def test_report_invariant_halted_means_complete():
     m = MatrixMap([[2, 1], [1, 2]])
     report = run(m, SamplerConfig(seed=9))
@@ -341,3 +371,119 @@ def test_estimate_eigenvector_shear_does_not_converge():
 def test_estimate_eigenvector_rejects_bad_tol():
     with pytest.raises(ValueError):
         estimate_eigenvector(shear2_map(), [1.0, 1.0], tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The block loop against a per-sample reference
+# ---------------------------------------------------------------------------
+
+
+def reference_run(f, cfg):
+    """The detector as a plain loop over single samples: one draw, one
+    evaluation and one sort per test point.  Returns samples used, the
+    recorded subsets and the history as (index, point, ratios, recorded)."""
+    n = f.dim
+    total = 2**n - 2
+    if total == 0:  # n = 1 has nothing to record
+        return 0, set(), []
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.mode == "scheduled":
+        points = cfg.points if cfg.points is not None else chain_schedule(n, cfg.beta)
+        budget = min(len(points), cfg.max_iterations)
+    else:
+        budget = cfg.max_iterations
+    recorded, history, samples = set(), [], 0
+    while len(recorded) < total and samples < budget:
+        if cfg.mode == "scheduled":
+            x = np.asarray(points[samples], dtype=float)
+        else:
+            x = np.ones(n)
+            if cfg.mode == "unit-box":
+                x[1:] = np.maximum(rng.uniform(0.0, 1.0, n - 1), np.finfo(float).tiny)
+            else:
+                x[1:] = np.exp(rng.uniform(-cfg.radius, cfg.radius, n - 1))
+        r = evaluate(f, x) / x
+        order = np.argsort(r, kind="stable")
+        subsets = tuple(
+            tuple(sorted(int(i) + 1 for i in order[: pos + 1]))
+            for pos in range(n - 1)
+            if r[order[pos + 1]] - r[order[pos]] > RATIO_TIE_RTOL * r[order[pos + 1]]
+        )
+        samples += 1
+        recorded.update(subsets)
+        if len(history) < cfg.history_cap:
+            history.append((samples, tuple(x.tolist()), tuple(r.tolist()), subsets))
+    return samples, recorded, history
+
+
+def _random_matrix(n, seed):
+    return MatrixMap(np.random.default_rng([n, seed]).uniform(1.0, 2.0, (n, n)))
+
+
+def _assert_matches_reference(f, cfg):
+    report = run(f, cfg)
+    samples, recorded, history = reference_run(f, cfg)
+    assert report.samples_used == samples
+    assert set(report.recorded_subsets) == recorded
+    assert report.recorded_count == len(recorded)
+    assert [(r.index, r.point, r.ratios, r.recorded) for r in report.history] == history
+    assert report.halted == (len(recorded) == 2**f.dim - 2)
+    return report
+
+
+def test_block_loop_halts_mid_block_like_reference():
+    report = _assert_matches_reference(_random_matrix(8, 0), SamplerConfig(seed=0))
+    assert report.halted
+    assert BLOCK_SIZE < report.samples_used < 2 * BLOCK_SIZE
+
+
+def test_block_loop_history_cap_across_block_boundary():
+    cap = BLOCK_SIZE + 88
+    report = _assert_matches_reference(
+        shear2_map(), SamplerConfig(seed=3, max_iterations=2 * BLOCK_SIZE + 7, history_cap=cap)
+    )
+    assert not report.halted and len(report.history) == cap
+
+
+@pytest.mark.parametrize("mode", ["unit-box", "log-uniform", "scheduled"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_block_loop_matches_reference_small_n(mode, n):
+    f = MatrixMap([[2.0]]) if n == 1 else _random_matrix(n, 1)
+    for seed in (0, 1):
+        _assert_matches_reference(
+            f, SamplerConfig(mode=mode, seed=seed, max_iterations=1500, history_cap=600)
+        )
+
+
+def test_block_loop_matches_reference_on_other_maps():
+    rng = np.random.default_rng(31)
+    p = rng.uniform(0.5, 1.0, (6, 6))
+    p /= p.sum(axis=1, keepdims=True)
+    user = FunctionMap(lambda x: np.array([x[0] + 2 * x[1], 3 * x[0] + x[1]]), dim=2)
+    for f in (
+        MaxPlusMap(rng.uniform(1.0, 2.0, (6, 6))),
+        MonomialMap(p),
+        user,
+        MatrixMap(np.diag([1.0, 2.0, 3.0])),
+        MatrixMap([[1, 1e-300], [1e-300, 1]]),  # every gap is a tie
+    ):
+        _assert_matches_reference(f, SamplerConfig(seed=5, max_iterations=1200, history_cap=40))
+
+
+def test_block_loop_matches_reference_beyond_int64_masks():
+    # n > 62 records subsets as Python-int masks
+    f = MatrixMap(np.eye(64) + 0.01)
+    _assert_matches_reference(f, SamplerConfig(seed=2, max_iterations=20, history_cap=3))
+
+
+def test_record_step_is_a_one_row_block():
+    f = _random_matrix(4, 2)
+    stepped, blocked = SubsetLedger(4, history_cap=5), SubsetLedger(4, history_cap=5)
+    x = np.exp(np.random.default_rng(8).uniform(-3.0, 3.0, (9, 4)))
+    steps = [record_step(f, row, stepped) for row in x]
+    detector._record_block(f, x, blocked)
+    assert stepped.recorded == blocked.recorded
+    assert stepped.history == blocked.history
+    assert stepped.samples_seen == blocked.samples_seen == 9
+    for row, got in zip(x, steps):
+        assert got == recordable_subsets(ratio_vector(f, row))

@@ -14,6 +14,7 @@ from conelight.maps import (
     MonomialMap,
     conjugate_log_map,
     evaluate,
+    evaluate_batch,
     load_map,
     map_from_spec,
     normalize,
@@ -185,6 +186,9 @@ def test_map_from_spec_round_trip():
         ({"type": "warp"}, "unknown_type"),
         ({"type": "matrix"}, "missing_field"),
         ([1, 2], "bad_spec"),
+        ({"type": "matrix", "data": {"x": 1}}, "not_numeric"),
+        ({"type": "maxplus", "data": [[1, "a"], [1, 1]]}, "not_numeric"),
+        ({"type": "monomial", "exponents": [[1, 0], [0]]}, "not_numeric"),
     ],
 )
 def test_invalid_specs_name_their_violation(spec, violation):
@@ -213,6 +217,50 @@ def test_load_map(tmp_path):
     with pytest.raises(InvalidMapError) as err:
         load_map(tmp_path / "missing.json")
     assert err.value.violation == "unreadable_file"
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 12])
+def test_apply_batch_is_apply_row_by_row_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    a = rng.uniform(0.0, 2.0, (n, n))
+    p = rng.uniform(0.5, 1.0, (n, n))
+    p /= p.sum(axis=1, keepdims=True)
+    maps = [
+        MatrixMap(a),
+        MaxPlusMap(a),
+        MonomialMap(p),
+        FunctionMap(lambda x: np.sqrt(x * x.mean()), dim=n),
+    ]
+    if n == 2:
+        maps.append(shear2_map())
+    for f in maps:
+        for rows in (1, 5, 512):
+            x = np.exp(rng.uniform(-3.0, 3.0, (rows, n)))
+            expected = np.stack([f.apply(row) for row in x])
+            assert np.array_equal(f.apply_batch(x), expected), (f, rows)
+            assert np.array_equal(evaluate_batch(f, x), expected)
+
+
+def test_evaluate_batch_enforces_contracts():
+    with pytest.raises(DimensionMismatchError):
+        evaluate_batch(shear2_map(), np.ones((4, 3)))
+    with pytest.raises(ValueError):
+        evaluate_batch(shear2_map(), [[1.0, 0.0]])
+    with pytest.raises(ValueError):
+        evaluate_batch(shear2_map(), [1.0, 2.0])
+    collapse = FunctionMap(lambda x: x - x, dim=2, name="collapse")
+    with pytest.raises(InvalidMapError) as err:
+        evaluate_batch(collapse, np.ones((3, 2)))
+    assert err.value.violation == "non_positive_output"
+    scalar = FunctionMap(lambda x: x.sum(), dim=2, name="scalar")
+    with pytest.raises(InvalidMapError) as err:
+        evaluate_batch(scalar, np.ones((3, 2)))
+    assert err.value.violation == "output_dimension"
 
 
 def test_non_positive_output_rejected():
