@@ -36,6 +36,7 @@ from .geometry import (
 from .illumination import (
     IlluminationReport,
     LowerBoundCertificate,
+    TooLargeError,
     canonical_class_representative,
     chain_illuminator,
     illuminated_supports,
@@ -84,6 +85,7 @@ __all__ = [
     "SampleRecord",
     "SamplerConfig",
     "SubsetLedger",
+    "TooLargeError",
     "canonical_class_representative",
     "chain_illuminator",
     "chain_schedule",

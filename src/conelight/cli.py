@@ -2,9 +2,10 @@
 
 Every command prints a single JSON document to stdout; diagnostics go to
 stderr.  Exit codes: 0 success (including a detect run that halted),
-1 malformed input or map specification, 2 detect budget exhausted without
-halting.  The only environment variable consulted is CONELIGHT_WORKERS,
-the worker count for the exact set-cover search.
+1 malformed input, map specification or a size over its limit (error type
+"too_large"), 2 detect budget exhausted without halting.  The only
+environment variable consulted is CONELIGHT_WORKERS, the worker count for
+the exact set-cover search.
 """
 
 from __future__ import annotations
@@ -243,6 +244,8 @@ def dispatch(argv) -> int:
             }
         )
         return EXIT_BAD_INPUT
+    except illumination.TooLargeError as exc:
+        return _fail("too_large", str(exc))
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail("invalid_input", str(exc))
 

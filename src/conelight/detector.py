@@ -34,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import as_positive_vector
-from .illumination import symmetric_chain_decomposition
+from .geometry import as_positive_vector, mask_members, sorted_prefix_masks
+from .illumination import symmetric_chain_masks
 from .maps import (
     DYNAMIC_RANGE_CAP,
     ConeMap,
@@ -64,22 +64,9 @@ def _prefix_masks(ratios: np.ndarray, rel_tol: float = RATIO_TIE_RTOL) -> np.nda
     relative are ties and never recorded across.  Masks are int64 up to
     n = 62 and Python ints beyond.
     """
-    order = np.argsort(ratios, axis=1, kind="stable")
-    ranked = np.take_along_axis(ratios, order, axis=1)
+    ranked, _, prefixes = sorted_prefix_masks(ratios)
     cur, nxt = ranked[:, :-1], ranked[:, 1:]
-    bits = order[:, :-1] if ratios.shape[1] <= 62 else order[:, :-1].astype(object)
-    prefixes = np.cumsum(np.left_shift(1, bits), axis=1)
-    return np.where(nxt - cur > rel_tol * nxt, prefixes, 0)
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    """The 1-based indices of the set bits of `mask`, ascending."""
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length())
-        mask ^= low
-    return tuple(members)
+    return np.where(nxt - cur > rel_tol * nxt, prefixes[:, :-1], 0)
 
 
 def recordable_subsets(ratios, rel_tol: float = RATIO_TIE_RTOL) -> list[frozenset[int]]:
@@ -91,7 +78,7 @@ def recordable_subsets(ratios, rel_tol: float = RATIO_TIE_RTOL) -> list[frozense
     construction.
     """
     masks = _prefix_masks(np.asarray(ratios, dtype=float).reshape(1, -1), rel_tol)
-    return [frozenset(_members(m)) for m in masks[0].tolist() if m]
+    return [frozenset(mask_members(m)) for m in masks[0].tolist() if m]
 
 
 @dataclass(frozen=True)
@@ -148,7 +135,7 @@ class SubsetLedger:
         if new and len(self._members) + len(new) >= self.total:
             taken = max(row for row, _ in new) + 1
         for _, mask in new:
-            members = self._members[mask] = _members(mask)
+            members = self._members[mask] = mask_members(mask)
             self.recorded.add(frozenset(members))
         kept = min(taken, self.history_cap - len(self.history))
         for i, (point, ratio, row) in enumerate(
@@ -178,7 +165,7 @@ def _record_block(f: ConeMap, points, ledger: SubsetLedger) -> np.ndarray:
 def record_step(f: ConeMap, x, ledger: SubsetLedger) -> list[frozenset[int]]:
     """Evaluate one test point, record what it witnesses, return the subsets."""
     masks = _record_block(f, as_positive_vector(x)[np.newaxis], ledger)
-    return [frozenset(_members(m)) for m in masks[0].tolist() if m]
+    return [frozenset(mask_members(m)) for m in masks[0].tolist() if m]
 
 
 def min_remaining_lower_bound(ledger: SubsetLedger) -> int:
@@ -328,20 +315,17 @@ def chain_schedule(n: int, beta: float) -> list[np.ndarray]:
         raise ValueError(
             f"beta**{n - 1} exceeds the dynamic range cap {DYNAMIC_RANGE_CAP:g}"
         )
+    full = (1 << n) - 1
     points: list[np.ndarray] = []
-    for chain in symmetric_chain_decomposition(n):
-        subsets = [
-            frozenset(i + 1 for i, b in enumerate(bits) if b)
-            for bits in chain
-            if 0 < sum(bits) < n
-        ]
+    for chain in symmetric_chain_masks(n):
+        subsets = [J for J in chain if 0 < J < full]
         if not subsets:
             continue
         k = len(subsets)
         levels = np.zeros(n)
-        seen: frozenset[int] = frozenset()
+        seen = 0
         for depth, J in enumerate(subsets):
-            for idx in J - seen:
+            for idx in mask_members(J & ~seen):
                 levels[idx - 1] = k - depth
             seen = J
         x = beta**levels

@@ -156,12 +156,37 @@ class ExtremePoint:
         if not all(1 <= i <= self.dim for i in self.support):
             raise ValueError("support indices must lie in 1..dim")
 
+    @property
+    def mask(self) -> int:
+        """The support as a bitmask, bit i - 1 for index i."""
+        return sum(1 << (i - 1) for i in self.support)
+
     def realize(self) -> np.ndarray:
         """Dense vector with sign on the support and 0 elsewhere."""
         v = np.zeros(self.dim)
         for i in self.support:
             v[i - 1] = float(self.sign)
         return v
+
+
+def mask_members(mask: int) -> tuple[int, ...]:
+    """The 1-based indices of the set bits of `mask`, ascending."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length())
+        mask ^= low
+    return tuple(members)
+
+
+def sorted_prefix_masks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort each row of a (B, k) array stably; return the sorted values,
+    the bit 1 << index of each sorted entry, and the prefix masks (column c
+    holds the c + 1 smallest entries).  Masks are int64 up to k = 62 and
+    Python ints beyond."""
+    order = np.argsort(values, axis=1, kind="stable")
+    bits = np.left_shift(1, order if values.shape[1] <= 62 else order.astype(object))
+    return np.take_along_axis(values, order, axis=1), bits, np.cumsum(bits, axis=1)
 
 
 def extreme_points(n: int) -> list[ExtremePoint]:

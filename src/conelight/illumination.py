@@ -27,8 +27,9 @@ antichain certificates witnessing the matching lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import comb
+from operator import or_
 from typing import Sequence
 
 import numpy as np
@@ -39,10 +40,29 @@ from .geometry import (
     as_finite_vector,
     extreme_points,
     hilbert_norm,
+    mask_members,
+    sorted_prefix_masks,
 )
 
 # Step size factor for the small-t numeric illumination check.
 NUMERIC_STEP = 1e-6
+
+# Size limits, checked before anything is built.  Work and memory grow as
+# 2^(n-1) extreme points and C(n, ceil(n/2)) directions for the optimal set
+# and its check, as 2^d vectors for a chain decomposition of {0,1}^d, and
+# as (n-1)! * n direction classes for a certificate.
+MAX_ILLUMINATION_N = 20
+MAX_CHAIN_D = 20
+MAX_CERTIFICATE_N = 9
+
+
+class TooLargeError(ValueError):
+    """A size argument exceeds its documented limit."""
+
+
+def _check_size(name: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise TooLargeError(f"{name} = {value} exceeds the supported maximum {limit}")
 
 
 def as_direction(w) -> np.ndarray:
@@ -51,6 +71,30 @@ def as_direction(w) -> np.ndarray:
     if not np.any(arr != 0.0):
         raise ValueError("a direction must be nonzero")
     return arr
+
+
+def _direction_block(directions, d: int) -> np.ndarray:
+    """Stack directions of dimension `d` into one (m, d) array.
+
+    Invalid input raises what the first offending direction raises on its
+    own: `as_direction`'s errors, then a dimension mismatch.
+    """
+    rows = list(directions)
+    if not rows:
+        return np.empty((0, d))
+    try:
+        block = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        block = None
+    if block is None or block.shape != (len(rows), d) or not (
+        np.isfinite(block).all() and block.any(axis=1).all()
+    ):
+        for w in rows:
+            if as_direction(w).size != d:
+                raise DimensionMismatchError(
+                    f"direction has dimension {np.size(w)}, expected {d}"
+                )
+    return block
 
 
 def illuminates(w, z: ExtremePoint) -> bool:
@@ -93,38 +137,68 @@ def illuminates_numeric(w, z: ExtremePoint, step: float = NUMERIC_STEP) -> bool:
     return hilbert_norm(z.realize() + t * wv) < 1.0
 
 
+def _support_masks(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The supports each row of an (m, d) direction block illuminates, as
+    bitmasks: a positive and a negative (m, d) array, each row a nested
+    chain read shortest first, 0 for no support.
+
+    +1_I is illuminated iff I = {j : w_j <= t} for a negative value t of
+    the row: the sorted prefix ending where a tie group below 0 ends.
+    -1_I is illuminated iff I = {j : w_j >= s} for a positive value s: the
+    complement of the prefix before a tie group above 0 starts.
+    """
+    ranked, bits, prefix = sorted_prefix_masks(block)
+    step = ranked[:, 1:] > ranked[:, :-1]
+    edge = np.ones((len(block), 1), dtype=bool)
+    plus = np.where(np.hstack([step, edge]) & (ranked < 0.0), prefix, 0)
+    full = (1 << block.shape[1]) - 1
+    minus = np.where(np.hstack([edge, step]) & (ranked > 0.0), full - (prefix - bits), 0)
+    return plus, minus[:, ::-1]
+
+
+def _coverage(block: np.ndarray, d: int) -> np.ndarray:
+    """(2, 2^d) flags of the positive (row 0) and negative (row 1) supports
+    the directions illuminate; column 0 stands for no support."""
+    plus, minus = _support_masks(block)
+    covered = np.zeros((2, 1 << d), dtype=bool)
+    covered[0, plus] = True
+    covered[1, minus] = True
+    return covered
+
+
 def illuminated_supports(w) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
     """All supports whose positive / negative extreme points `w` illuminates.
 
     By the closed form, +1_I is illuminated iff I = {j : w_j <= t} for the
-    (negative) value t = max_I w; sweeping t over the distinct negative
-    values of w therefore enumerates every illuminated positive support,
-    and the positive values of w give the negative supports symmetrically.
-    Each list is a nested chain, shortest support first.
+    (negative) value t = max_I w, and symmetrically for -1_I.  Each list
+    is a nested chain, shortest support first.
     """
-    wv = as_direction(w)
-    values = np.unique(wv)
-    plus = [
-        frozenset(int(j) + 1 for j in np.flatnonzero(wv <= t)) for t in values if t < 0.0
-    ]
-    minus = [
-        frozenset(int(j) + 1 for j in np.flatnonzero(wv >= s))
-        for s in values[::-1]
-        if s > 0.0
-    ]
-    return plus, minus
+    plus, minus = _support_masks(as_direction(w)[np.newaxis])
+    return tuple(
+        [frozenset(mask_members(m)) for m in masks[0].tolist() if m] for masks in (plus, minus)
+    )
 
 
-def _ground_ordering(supports: list[frozenset[int]], dim: int) -> list[int]:
-    """Order 1..dim compatibly with a nested support chain: elements of the
-    smallest support first, then each successive difference, then the rest."""
-    order: list[int] = []
-    seen: set[int] = set()
-    for sup in supports:
-        order.extend(sorted(sup - seen))
-        seen |= sup
-    order.extend(sorted(set(range(1, dim + 1)) - seen))
-    return order
+def _bit_matrix(masks, d: int) -> np.ndarray:
+    """Row k holds the bits 0..d-1 of masks[k] as 0/1 integers."""
+    arr = np.asarray(masks, dtype=np.int64 if d <= 62 else object)
+    return (arr[:, np.newaxis] >> np.arange(d)) & 1
+
+
+def _flag_directions(chains: Sequence[Sequence[int]], d: int) -> np.ndarray:
+    """Row k assigns -d, ..., -1 along a flag of {1, ..., d} extending the
+    strictly nested masks chains[k] (smallest first): the smallest mask's
+    members ascending, then each successive difference, then the rest."""
+    full = (1 << d) - 1
+    width = max(map(len, chains), default=0)
+    padded = [list(c) + [full] * (width - len(c)) for c in chains]
+    level = np.zeros((len(chains), d), dtype=np.int64)
+    for depth in range(width):  # level of j: the chain masks missing j
+        level += 1 - _bit_matrix([c[depth] for c in padded], d)
+    order = np.argsort(level * d + np.arange(d), axis=1)
+    directions = np.empty((len(chains), d))
+    directions[np.arange(len(chains))[:, np.newaxis], order] = np.arange(-d, 0)
+    return directions
 
 
 def chain_illuminator(chain: Sequence[ExtremePoint]) -> np.ndarray:
@@ -144,17 +218,13 @@ def chain_illuminator(chain: Sequence[ExtremePoint]) -> np.ndarray:
         raise DimensionMismatchError("chain members must share a dimension")
     if any(p.sign != sign for p in pts):
         raise ValueError("chain members must share a sign")
-    supports = sorted((p.support for p in pts), key=len)
-    for small, big in zip(supports, supports[1:]):
-        if small == big or not small < big:
+    masks = sorted((p.mask for p in pts), key=int.bit_count)
+    for small, big in zip(masks, masks[1:]):
+        if small == big or small & ~big:
             raise ValueError("chain supports must be strictly nested")
-    order = _ground_ordering(supports, dim)
-    w = np.empty(dim)
-    for step, element in enumerate(order, start=1):
-        w[element - 1] = float(step - dim - 1)
-    if sign < 0:
-        w = -w
-    assert all(illuminates(w, p) for p in pts)
+    w = sign * _flag_directions([masks], dim)[0]
+    if not all(illuminates(w, p) for p in pts):
+        raise RuntimeError("chain illuminator fails the closed-form check")
     return w
 
 
@@ -175,54 +245,50 @@ def pair_illuminator(x: ExtremePoint, x_complement: ExtremePoint) -> np.ndarray:
     w = np.ones(x.dim)
     for i in x.support:
         w[i - 1] = -1.0
-    assert illuminates(w, x) and illuminates(w, x_complement)
+    if not (illuminates(w, x) and illuminates(w, x_complement)):
+        raise RuntimeError("pair illuminator fails the closed-form check")
     return w
 
 
-def _bit_tuple(x: int, d: int) -> tuple[int, ...]:
-    return tuple((x >> i) & 1 for i in range(d))
+def symmetric_chain_masks(d: int) -> list[list[int]]:
+    """Partition the subsets of {1, ..., d}, as bitmasks (bit i - 1 for
+    index i), into C(d, ceil(d/2)) symmetric chains, each listed from its
+    bottom, chains ordered by bottom.
 
-
-def symmetric_chain_decomposition(d: int) -> list[list[tuple[int, ...]]]:
-    """Partition {0,1}^d into C(d, ceil(d/2)) symmetric chains.
-
-    Symmetric means saturated (each successor adds exactly one 1) with
-    bottom weight + top weight = d.  Construction by bracket matching:
+    Symmetric means saturated (each successor adds exactly one element)
+    with bottom size + top size = d.  Construction by bracket matching:
     scan coordinates left to right reading 0 as an opening and 1 as a
     closing bracket and match them in the usual nested fashion.  Vectors
-    sharing a matching structure form one chain; the chain is generated
-    from its bottom (all unmatched coordinates 0) by switching unmatched
-    zeros to 1 from the left.  Each chain gains one matched pair per two
-    coordinates it fixes, which forces the bottom/top weight symmetry.
+    sharing a matching structure form one chain; a chain bottom has no
+    unmatched 1, and the chain switches its unmatched zeros to 1 from the
+    left.  Each chain gains one matched pair per two coordinates it fixes,
+    which forces the bottom/top size symmetry.
     """
+    _check_size("d", d, MAX_CHAIN_D)
     if d < 1:
         raise ValueError("d must be at least 1")
-    chains: list[list[tuple[int, ...]]] = []
-    for x in range(1 << d):
-        stack: list[int] = []
-        unmatched_one = False
-        for i in range(d):
-            if (x >> i) & 1:
-                if stack:
-                    stack.pop()
-                else:
-                    unmatched_one = True
-                    break
-            else:
-                stack.append(i)
-        if unmatched_one:
-            continue  # not a chain bottom; covered by the chain of its bottom
-        chain = [x]
-        cur = x
-        for pos in stack:
-            cur |= 1 << pos
-            chain.append(cur)
-        chains.append([_bit_tuple(v, d) for v in chain])
+    chains: list[list[int]] = []
+
+    def extend(i: int, bottom: int, unmatched: list[int]) -> None:
+        if i == d:
+            chains.append(list(accumulate([1 << pos for pos in unmatched], or_, initial=bottom)))
+            return
+        extend(i + 1, bottom, unmatched + [i])
+        if unmatched:  # a 1 closes the innermost open 0
+            extend(i + 1, bottom | 1 << i, unmatched[:-1])
+
+    extend(0, 0, [])
+    chains.sort()
     return chains
 
 
-def _support_of(bits: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(i + 1 for i, b in enumerate(bits) if b)
+def symmetric_chain_decomposition(d: int) -> list[list[tuple[int, ...]]]:
+    """Partition {0,1}^d into C(d, ceil(d/2)) symmetric chains, as bit
+    tuples; see `symmetric_chain_masks`."""
+    return [
+        [tuple((mask >> i) & 1 for i in range(d)) for mask in chain]
+        for chain in symmetric_chain_masks(d)
+    ]
 
 
 def optimal_illuminating_set(n: int) -> list[np.ndarray]:
@@ -236,35 +302,30 @@ def optimal_illuminating_set(n: int) -> list[np.ndarray]:
     (n-1)/2: those are paired with their negative complements through one
     pair illuminator each, while every longer chain gets chain
     illuminators on both the positive side and its complement-image
-    negative side.
+    negative side.  The whole set is checked against every extreme point.
     """
+    _check_size("n", n, MAX_ILLUMINATION_N)
     if n < 2:
         raise ValueError("n must be at least 2")
     d = n - 1
-    decomposition = symmetric_chain_decomposition(d)
-    full = frozenset(range(1, d + 1))
-    directions: list[np.ndarray] = []
+    full = (1 << d) - 1
+    chains = symmetric_chain_masks(d)
+    # for even n every chain is long: bottom size + top size = d is odd
+    long = [c for c in chains if len(c) > 1]
+    flags = _flag_directions([[m for m in c if m] for c in long], d)
     if n % 2 == 0:
-        for chain in decomposition:
-            supports = [_support_of(v) for v in chain if any(v)]
-            w = chain_illuminator([ExtremePoint(1, s, d) for s in supports])
-            directions.append(w)
-            directions.append(-w)
+        mirrored = -flags
     else:
-        for chain in decomposition:
-            supports = [_support_of(v) for v in chain]
-            if len(supports) == 1:
-                s = supports[0]
-                directions.append(
-                    pair_illuminator(ExtremePoint(1, s, d), ExtremePoint(-1, full - s, d))
-                )
-            else:
-                plus_chain = [ExtremePoint(1, s, d) for s in supports if s]
-                directions.append(chain_illuminator(plus_chain))
-                minus_chain = [
-                    ExtremePoint(-1, full - s, d) for s in supports if full - s
-                ]
-                directions.append(chain_illuminator(minus_chain))
+        mirrored = -_flag_directions([[full ^ m for m in c[::-1] if m != full] for c in long], d)
+    plus, minus = iter(flags), iter(mirrored)
+    directions: list[np.ndarray] = []
+    for chain in chains:
+        if len(chain) == 1:  # the pair illuminator: -1 on the support, +1 off it
+            directions.append(1.0 - 2.0 * _bit_matrix(chain, d)[0])
+        else:
+            directions += [next(plus), next(minus)]
+    if not _coverage(np.array(directions), d)[:, 1:].all():
+        raise RuntimeError(f"the directions built for n = {n} miss an extreme point")
     return directions
 
 
@@ -290,31 +351,24 @@ def verify_illumination(directions: Sequence, n: int) -> IlluminationReport:
     """Exhaustively check which of the 2^n - 2 extreme points the given
     directions illuminate.
 
-    Uses the per-direction support enumeration, which marks exactly the
-    points the closed-form predicate accepts.
+    Uses the block support enumeration, which marks exactly the points the
+    closed-form predicate accepts; the unilluminated points come in
+    `extreme_points(n)` order.
     """
+    _check_size("n", n, MAX_ILLUMINATION_N)
     if n < 2:
         raise ValueError("n must be at least 2")
     d = n - 1
-    covered_plus: set[frozenset[int]] = set()
-    covered_minus: set[frozenset[int]] = set()
-    count = 0
-    for w in directions:
-        wv = as_direction(w)
-        if wv.size != d:
-            raise DimensionMismatchError(
-                f"direction has dimension {wv.size}, expected {d}"
-            )
-        plus, minus = illuminated_supports(wv)
-        covered_plus.update(plus)
-        covered_minus.update(minus)
-        count += 1
+    block = _direction_block(directions, d)
     missing = tuple(
-        z
-        for z in extreme_points(n)
-        if z.support not in (covered_plus if z.sign > 0 else covered_minus)
+        ExtremePoint(sign, members, d)
+        for sign, flags in zip((1, -1), _coverage(block, d))
+        for members in sorted(
+            map(mask_members, (np.flatnonzero(~flags[1:]) + 1).tolist()),
+            key=lambda s: (len(s), s),
+        )
     )
-    return IlluminationReport(n, count, not missing, missing)
+    return IlluminationReport(n, len(block), not missing, missing)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +396,17 @@ def canonical_class_representative(perm: Sequence[int], negatives: int) -> np.nd
     if not 0 <= negatives <= d:
         raise ValueError("negative count must lie in 0..dim")
     w = np.empty(d)
-    for rank, coord in enumerate(perm):
-        w[coord] = rank + 0.5 - negatives
+    w[list(perm)] = np.arange(d) + 0.5 - negatives
     return w
+
+
+def _class_block(d: int) -> np.ndarray:
+    """Every canonical class representative, d! * (d + 1) rows of
+    dimension d, permutation-major as `canonical_class_representative`
+    numbers them: row (perm, negatives) holds rank + 0.5 - negatives at
+    coordinate perm[rank]."""
+    ranks = np.argsort(np.array(list(permutations(range(d)))), axis=1)
+    return (ranks[:, np.newaxis, :] + 0.5 - np.arange(d + 1)[:, np.newaxis]).reshape(-1, d)
 
 
 def _all_class_patterns(n: int) -> list[int]:
@@ -353,20 +415,12 @@ def _all_class_patterns(n: int) -> list[int]:
     Bit i corresponds to extreme_points(n)[i].
     """
     d = n - 1
-    index = {(z.sign, z.support): i for i, z in enumerate(extreme_points(n))}
-    patterns: set[int] = set()
-    for perm in permutations(range(d)):
-        for negatives in range(d + 1):
-            w = canonical_class_representative(perm, negatives)
-            plus, minus = illuminated_supports(w)
-            mask = 0
-            for s in plus:
-                mask |= 1 << index[(1, s)]
-            for s in minus:
-                mask |= 1 << index[(-1, s)]
-            if mask:
-                patterns.add(mask)
-    return sorted(patterns)
+    bit = np.zeros((2, 1 << d), dtype=object)  # [sign row, support mask] -> 1 << index
+    for i, z in enumerate(extreme_points(n)):
+        bit[int(z.sign < 0), z.mask] = 1 << i
+    plus, minus = _support_masks(_class_block(d))
+    patterns = np.bitwise_or.reduce(np.hstack([bit[0, plus], bit[1, minus]]), axis=1)
+    return sorted(set(patterns.tolist()) - {0})
 
 
 def _prune_dominated(patterns: list[int]) -> list[int]:
@@ -491,10 +545,8 @@ def illumination_number_exact(n: int, workers: int = 1) -> int:
     universe = (1 << count_points) - 1
     patterns = _prune_dominated(_all_class_patterns(n))
 
-    constructive = optimal_illuminating_set(n)
-    report = verify_illumination(constructive, n)
-    assert report.covered
-    return _minimum_cover(universe, patterns, len(constructive), workers)
+    # optimal_illuminating_set checks its own coverage, raising if it fails
+    return _minimum_cover(universe, patterns, len(optimal_illuminating_set(n)), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +607,7 @@ def lower_bound_certificate(n: int) -> LowerBoundCertificate:
     being dominated by nearby canonical directions) means no single
     direction can serve two certificate points.
     """
+    _check_size("n", n, MAX_CERTIFICATE_N)
     if n < 2:
         raise ValueError("n must be at least 2")
     d = n - 1
@@ -565,25 +618,16 @@ def lower_bound_certificate(n: int) -> LowerBoundCertificate:
     points = [
         ExtremePoint(1, frozenset(c), d) for c in combinations(range(1, d + 1), k)
     ] + [ExtremePoint(-1, frozenset(c), d) for c in combinations(range(1, d + 1), m)]
-    index = {(p.sign, p.support): i for i, p in enumerate(points)}
+    index = np.full((2, 1 << d), -1)  # [sign row, support mask] -> point index
+    for i, p in enumerate(points):
+        index[int(p.sign < 0), p.mask] = i
 
-    shareable: set[tuple[int, int]] = set()
-    classes = 0
-    for perm in permutations(range(d)):
-        for negatives in range(d + 1):
-            w = canonical_class_representative(perm, negatives)
-            plus, minus = illuminated_supports(w)
-            hit = sorted(
-                i
-                for i in (
-                    [index.get((1, s)) for s in plus]
-                    + [index.get((-1, s)) for s in minus]
-                )
-                if i is not None
-            )
-            for a, b in combinations(hit, 2):
-                shareable.add((a, b))
-            classes += 1
+    block = _class_block(d)
+    plus, minus = _support_masks(block)
+    # a row's positive supports strictly nest, so at most one has size k and
+    # it hits at most one positive point; likewise for the negative ones
+    hits = np.stack([index[0, plus].max(axis=1), index[1, minus].max(axis=1)], axis=1)
+    shareable = {(a, b) for a, b in hits[(hits >= 0).all(axis=1)].tolist()}
     return LowerBoundCertificate(
-        n, tuple(points), tuple(sorted(shareable)), classes
+        n, tuple(points), tuple(sorted(shareable)), len(block)
     )

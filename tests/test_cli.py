@@ -104,6 +104,25 @@ def test_illuminate_verify_malformed_directions_is_one_json_error(capsys, tmp_pa
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chains", "-d", "40"],
+        ["illuminate-optimal", "-n", "40"],
+        ["illuminate-verify", "-n", "40", "--directions", "DIRS"],
+        ["certificate", "-n", "15"],
+    ],
+)
+def test_over_limit_sizes_are_one_too_large_error(capsys, tmp_path, argv):
+    dirs = tmp_path / "dirs.json"
+    dirs.write_text("[]")
+    code = dispatch([str(dirs) if a == "DIRS" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"]["type"] == "too_large"
+    assert "Traceback" not in captured.err
+
+
 def test_detect_non_numeric_map_data_is_one_json_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"type": "matrix", "data": {"x": 1}}))

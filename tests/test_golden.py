@@ -2,9 +2,10 @@
 
 The files under tests/golden/ were produced by the reference implementation
 and are the safety net for refactors of the detector and illumination code.
-Regenerate them only for a deliberate output change:
+Regenerate them only for a deliberate output change, naming the cases to
+write (all of them when none is named):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
 
 import json
@@ -45,7 +46,21 @@ def _cases() -> dict[str, list[str]]:
                     *flags,
                 ]
     cases["illuminate-optimal-n6"] = ["illuminate-optimal", "-n", "6"]
+    # odd n: pair illuminators for the singleton chains
+    cases["illuminate-optimal-n7"] = ["illuminate-optimal", "-n", "7"]
+    # a partial direction set with ties and zero coordinates, so the order
+    # of the unilluminated points is pinned
+    cases["illuminate-verify-n5-partial"] = [
+        "illuminate-verify",
+        "-n",
+        "5",
+        "--directions",
+        str(GOLDEN / "partial5.json"),
+    ]
+    cases["chains-d4"] = ["chains", "-d", "4"]
     cases["certificate-n4"] = ["certificate", "-n", "4"]
+    cases["certificate-n5"] = ["certificate", "-n", "5"]
+    cases["illuminate-number-n4"] = ["illuminate-number", "-n", "4"]
     return cases
 
 
@@ -64,11 +79,13 @@ def test_cli_stdout_matches_golden(capsys, name):
 if __name__ == "__main__":
     import contextlib
     import io
+    import sys
 
-    exit_codes = {}
-    for name, argv in sorted(CASES.items()):
+    codes_file = GOLDEN / "exit_codes.json"
+    exit_codes = json.loads(codes_file.read_text()) if codes_file.exists() else {}
+    for name in sys.argv[1:] or sorted(CASES):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            exit_codes[name] = dispatch(argv)
+            exit_codes[name] = dispatch(CASES[name])
         (GOLDEN / f"{name}.out").write_text(buf.getvalue(), encoding="utf-8")
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(exit_codes, indent=2, sort_keys=True) + "\n")
+    codes_file.write_text(json.dumps(exit_codes, indent=2, sort_keys=True) + "\n")

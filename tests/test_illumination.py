@@ -3,9 +3,17 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conelight import illumination
+from conelight.detector import chain_schedule
 from conelight.geometry import DimensionMismatchError, ExtremePoint, extreme_points
 from conelight.illumination import (
+    MAX_CERTIFICATE_N,
+    MAX_CHAIN_D,
+    MAX_ILLUMINATION_N,
+    TooLargeError,
     canonical_class_representative,
     chain_illuminator,
     illuminated_supports,
@@ -27,6 +35,76 @@ def ep(sign, support, dim):
 def pattern_by_predicate(w, n):
     """Oracle: the full illuminated set via the scalar closed form."""
     return {(z.sign, z.support) for z in extreme_points(n) if illuminates(w, z)}
+
+
+def reference_supports(w):
+    """Per-threshold enumeration: {j : w_j <= t} for each distinct negative
+    value t, {j : w_j >= s} for each distinct positive value s."""
+    wv = np.asarray(w, dtype=float)
+    values = np.unique(wv)
+    plus = [frozenset(int(j) + 1 for j in np.flatnonzero(wv <= t)) for t in values if t < 0.0]
+    minus = [
+        frozenset(int(j) + 1 for j in np.flatnonzero(wv >= s)) for s in values[::-1] if s > 0.0
+    ]
+    return plus, minus
+
+
+def reference_verify(directions, n):
+    """The per-direction loop: mark each direction's supports, then list the
+    missing points in extreme_points(n) order."""
+    covered_plus, covered_minus = set(), set()
+    for w in directions:
+        plus, minus = reference_supports(w)
+        covered_plus.update(plus)
+        covered_minus.update(minus)
+    missing = tuple(
+        z
+        for z in extreme_points(n)
+        if z.support not in (covered_plus if z.sign > 0 else covered_minus)
+    )
+    return len(directions), not missing, missing
+
+
+def reference_optimal_set(n):
+    """The optimal set composed from the public illuminators, chain by chain."""
+    d = n - 1
+    full = frozenset(range(1, d + 1))
+    directions = []
+    for chain in symmetric_chain_decomposition(d):
+        supports = [frozenset(i + 1 for i, b in enumerate(v) if b) for v in chain]
+        if n % 2 == 0:
+            w = chain_illuminator([ExtremePoint(1, s, d) for s in supports if s])
+            directions += [w, -w]
+        elif len(supports) == 1:
+            s = supports[0]
+            directions.append(
+                pair_illuminator(ExtremePoint(1, s, d), ExtremePoint(-1, full - s, d))
+            )
+        else:
+            directions.append(chain_illuminator([ExtremePoint(1, s, d) for s in supports if s]))
+            directions.append(
+                chain_illuminator([ExtremePoint(-1, full - s, d) for s in supports if full - s])
+            )
+    return directions
+
+
+# rows mixing small integers (ties and zeros) with arbitrary floats
+direction_blocks = st.integers(2, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(-3, 3).map(float),
+                    st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False),
+                ),
+                min_size=n - 1,
+                max_size=n - 1,
+            ).filter(any),
+            max_size=12,
+        ),
+    )
+)
 
 
 def assert_symmetric_decomposition(chains, d):
@@ -91,6 +169,86 @@ def test_illuminated_supports_matches_predicate_even_with_ties():
             expected = pattern_by_predicate(w, n)
             got = {(1, s) for s in plus} | {(-1, s) for s in minus}
             assert got == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(direction_blocks)
+def test_support_kernel_matches_closed_form_predicate(case):
+    n, rows = case
+    if not rows:
+        return
+    plus, minus = illumination._support_masks(np.array(rows))
+    points = extreme_points(n)
+    for w, prow, mrow in zip(rows, plus.tolist(), minus.tolist()):
+        expected = {(z.sign, z.mask) for z in points if illuminates(w, z)}
+        got = {(1, m) for m in prow if m} | {(-1, m) for m in mrow if m}
+        assert got == expected
+        # both chains shortest first, as illuminated_supports lists them
+        sets = illuminated_supports(w)
+        assert sets == reference_supports(w)
+        assert [sum(1 << (i - 1) for i in s) for s in sets[0]] == [m for m in prow if m]
+        assert [sum(1 << (i - 1) for i in s) for s in sets[1]] == [m for m in mrow if m]
+
+
+@settings(max_examples=150, deadline=None)
+@given(direction_blocks)
+def test_verify_illumination_matches_reference_loop(case):
+    n, rows = case
+    report = verify_illumination([np.array(w) for w in rows], n)
+    count, covered, missing = reference_verify(rows, n)
+    assert (report.direction_count, report.covered, report.unilluminated) == (
+        count,
+        covered,
+        missing,
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_optimal_set_equals_composition_of_public_illuminators(n):
+    got = optimal_illuminating_set(n)
+    expected = reference_optimal_set(n)
+    assert len(got) == len(expected)
+    for w, v in zip(got, expected):
+        assert w.tobytes() == v.tobytes()
+
+
+def test_optimal_set_raises_when_a_support_goes_unilluminated(monkeypatch):
+    kernel = illumination._support_masks
+
+    def drop_one(block):
+        plus, minus = kernel(block)
+        plus = plus.copy()
+        row, col = np.argwhere(plus)[0]
+        plus[row, col] = 0
+        return plus, minus
+
+    monkeypatch.setattr(illumination, "_support_masks", drop_one)
+    with pytest.raises(RuntimeError):
+        optimal_illuminating_set(6)
+
+
+def test_illuminators_raise_when_the_closed_form_check_fails(monkeypatch):
+    monkeypatch.setattr(illumination, "illuminates", lambda w, z: False)
+    with pytest.raises(RuntimeError):
+        chain_illuminator([ep(1, {1}, 2), ep(1, {1, 2}, 2)])
+    with pytest.raises(RuntimeError):
+        pair_illuminator(ep(1, {1}, 2), ep(-1, {2}, 2))
+
+
+def test_size_limits_raise_too_large_before_building():
+    assert (MAX_ILLUMINATION_N, MAX_CHAIN_D, MAX_CERTIFICATE_N) == (20, 20, 9)
+    assert issubclass(TooLargeError, ValueError)
+    with pytest.raises(TooLargeError):
+        optimal_illuminating_set(MAX_ILLUMINATION_N + 1)
+    with pytest.raises(TooLargeError):
+        verify_illumination([], MAX_ILLUMINATION_N + 1)
+    with pytest.raises(TooLargeError):
+        symmetric_chain_decomposition(MAX_CHAIN_D + 1)
+    with pytest.raises(TooLargeError):
+        lower_bound_certificate(MAX_CERTIFICATE_N + 1)
+    # the scheduled sampler builds the same chains, over n indices
+    with pytest.raises(TooLargeError):
+        chain_schedule(MAX_CHAIN_D + 1, 1.1)
 
 
 def test_illuminated_supports_are_nested_chains():
@@ -238,6 +396,24 @@ def test_verify_illumination_negative_cases():
 def test_verify_illumination_rejects_bad_dimension():
     with pytest.raises(DimensionMismatchError):
         verify_illumination([[1.0, 2.0, 3.0]], 3)
+    # ragged input: the dimension of each row is checked before stacking
+    with pytest.raises(DimensionMismatchError):
+        verify_illumination([[1.0, 2.0], [1.0, 2.0, 3.0]], 3)
+
+
+@pytest.mark.parametrize(
+    "n, directions, message",
+    [
+        (3, [[1.0, 2.0], [0.0, 0.0]], "nonzero"),
+        (3, [[1.0, np.nan], [1.0, 2.0, 3.0]], "finite"),
+        (3, [[1.0, 2.0, 3.0], [np.inf, 1.0]], "dimension"),
+        (3, [[[1.0, 2.0]]], "one-dimensional"),
+        (2, [1.0, -1.0], "one-dimensional"),
+    ],
+)
+def test_verify_illumination_reports_the_first_bad_direction(n, directions, message):
+    with pytest.raises(ValueError, match=message):
+        verify_illumination(directions, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,20 @@
+"""Package-wide source checks."""
+
+import ast
+from pathlib import Path
+
+import conelight
+
+PACKAGE = Path(conelight.__file__).parent
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips assert statements, so a check that carries proof
+    # weight must raise explicitly
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
