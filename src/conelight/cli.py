@@ -3,9 +3,8 @@
 Every command prints a single JSON document to stdout; diagnostics go to
 stderr.  Exit codes: 0 success (including a detect run that halted),
 1 malformed input, map specification or a size over its limit (error type
-"too_large"), 2 detect budget exhausted without halting.  The only
-environment variable consulted is CONELIGHT_WORKERS, the worker count for
-the exact set-cover search.
+"too_large"), 2 detect budget exhausted without halting.  The CLI reads
+no environment variable.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -46,19 +44,6 @@ def _fail(kind: str, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     _emit({"error": {"type": kind, "message": message}})
     return EXIT_BAD_INPUT
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("CONELIGHT_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise _UsageError(f"CONELIGHT_WORKERS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise _UsageError("CONELIGHT_WORKERS must be at least 1")
-    return workers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,7 +132,7 @@ def _cmd_illuminate_verify(args) -> int:
 
 
 def _cmd_illuminate_number(args) -> int:
-    number = illumination.illumination_number_exact(args.n, workers=_worker_count())
+    number = illumination.illumination_number_exact(args.n)
     _emit({"command": "illuminate-number", "n": args.n, "illumination_number": number})
     return EXIT_OK
 

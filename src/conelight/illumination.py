@@ -181,8 +181,7 @@ def illuminated_supports(w) -> tuple[list[frozenset[int]], list[frozenset[int]]]
 
 def _bit_matrix(masks, d: int) -> np.ndarray:
     """Row k holds the bits 0..d-1 of masks[k] as 0/1 integers."""
-    arr = np.asarray(masks, dtype=np.int64 if d <= 62 else object)
-    return (arr[:, np.newaxis] >> np.arange(d)) & 1
+    return (np.asarray(masks, dtype=np.int64)[:, np.newaxis] >> np.arange(d)) & 1
 
 
 def _flag_directions(chains: Sequence[Sequence[int]], d: int) -> np.ndarray:
@@ -213,6 +212,7 @@ def chain_illuminator(chain: Sequence[ExtremePoint]) -> np.ndarray:
     if not pts:
         raise ValueError("chain must be nonempty")
     dim = pts[0].dim
+    _check_size("dim", dim, MAX_ILLUMINATION_N - 1)
     sign = pts[0].sign
     if any(p.dim != dim for p in pts):
         raise DimensionMismatchError("chain members must share a dimension")
@@ -423,18 +423,6 @@ def _all_class_patterns(n: int) -> list[int]:
     return sorted(set(patterns.tolist()) - {0})
 
 
-def _prune_dominated(patterns: list[int]) -> list[int]:
-    """Drop patterns contained in another pattern (never needed by a
-    minimum cover)."""
-    kept: list[int] = []
-    by_size = sorted(patterns, key=lambda p: -bin(p).count("1"))
-    for p in by_size:
-        if not any(p & q == p for q in kept):
-            kept.append(p)
-    kept.sort()
-    return kept
-
-
 def _disjoint_lower_bound(
     covered: int, order: list[int], elem_pattern_mask: list[int]
 ) -> int:
@@ -489,18 +477,9 @@ def _cover_search(
     return best
 
 
-def _solve_cover_subproblem(args) -> int:
-    universe, patterns, order, cover_by_elem, elem_pattern_mask, covered, count, best = args
-    return _cover_search(
-        universe, patterns, order, cover_by_elem, elem_pattern_mask, covered, count, best
-    )
-
-
-def _minimum_cover(universe: int, patterns: list[int], upper: int, workers: int = 1) -> int:
+def _minimum_cover(universe: int, patterns: list[int], upper: int) -> int:
     """Exact minimum set cover, assuming a cover of size `upper` is known
-    to exist.  With `workers` > 1 the root branches fan out to a process
-    pool; each subtree is explored fully against the same seeded bound, so
-    the result is identical for any worker count."""
+    to exist."""
     count_points = universe.bit_length()
     cover_by_elem = [
         [pi for pi, p in enumerate(patterns) if (p >> e) & 1] for e in range(count_points)
@@ -514,39 +493,27 @@ def _minimum_cover(universe: int, patterns: list[int], upper: int, workers: int 
 
     if _disjoint_lower_bound(0, order, elem_pattern_mask) >= upper:
         return upper
-
-    common = (universe, patterns, order, cover_by_elem, elem_pattern_mask)
-    if workers == 1:
-        return _cover_search(*common, 0, 0, upper)
-
-    import concurrent.futures
-
-    branch_elem = order[0]
-    tasks = [common + (patterns[pi], 1, upper) for pi in cover_by_elem[branch_elem]]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_solve_cover_subproblem, tasks))
-    return min([upper] + results)
+    return _cover_search(universe, patterns, order, cover_by_elem, elem_pattern_mask, 0, 0, upper)
 
 
-def illumination_number_exact(n: int, workers: int = 1) -> int:
+def illumination_number_exact(n: int) -> int:
     """Minimum number of directions illuminating all extreme points,
     computed by exact set cover over the canonical direction classes.
 
     Seeded with the constructive upper bound, then searched exhaustively
     for anything smaller.  Supported for 2 <= n <= 6; the class count
-    (n-1)! * n makes larger n impractical for an exact search, where the
-    certificates take over.
+    (n-1)! * n grows factorially, and beyond the cap the certificates take
+    over.
     """
     if not 2 <= n <= 6:
         raise ValueError("exact illumination number is supported for 2 <= n <= 6")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    count_points = 2**n - 2
-    universe = (1 << count_points) - 1
-    patterns = _prune_dominated(_all_class_patterns(n))
-
-    # optimal_illuminating_set checks its own coverage, raising if it fails
-    return _minimum_cover(universe, patterns, len(optimal_illuminating_set(n)), workers)
+    universe = (1 << (2**n - 2)) - 1
+    # Dominated patterns need no pruning, as there are none: a class with k
+    # negative coordinates illuminates exactly k positive and n - 1 - k
+    # negative supports, so every pattern has n - 1 bits, and distinct
+    # patterns of equal size never contain one another.
+    # optimal_illuminating_set checks its own coverage, raising if it fails.
+    return _minimum_cover(universe, _all_class_patterns(n), len(optimal_illuminating_set(n)))
 
 
 # ---------------------------------------------------------------------------

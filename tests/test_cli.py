@@ -62,13 +62,6 @@ def test_illuminate_number(capsys):
     assert doc["illumination_number"] == 3
 
 
-def test_illuminate_number_bad_workers_env(capsys, monkeypatch):
-    monkeypatch.setenv("CONELIGHT_WORKERS", "lots")
-    code, doc = run_cli(capsys, ["illuminate-number", "-n", "3"])
-    assert code == 1
-    assert doc["error"]["type"] == "usage"
-
-
 def test_certificate(capsys):
     code, doc = run_cli(capsys, ["certificate", "-n", "3"])
     assert code == 0

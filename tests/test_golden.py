@@ -61,6 +61,8 @@ def _cases() -> dict[str, list[str]]:
     cases["certificate-n4"] = ["certificate", "-n", "4"]
     cases["certificate-n5"] = ["certificate", "-n", "5"]
     cases["illuminate-number-n4"] = ["illuminate-number", "-n", "4"]
+    # the largest n the exact oracle accepts
+    cases["illuminate-number-n6"] = ["illuminate-number", "-n", "6"]
     return cases
 
 

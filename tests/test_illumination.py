@@ -251,6 +251,19 @@ def test_size_limits_raise_too_large_before_building():
         chain_schedule(MAX_CHAIN_D + 1, 1.1)
 
 
+def test_chain_illuminator_over_the_size_limit_is_too_large():
+    # a flag direction of dimension MAX_ILLUMINATION_N - 1 is the largest
+    # optimal_illuminating_set builds; past 62 coordinates the bit masks
+    # would no longer fit in int64
+    d = 70
+    chain = [ep(1, set(range(1, k + 1)), d) for k in (1, 35, d)]
+    with pytest.raises(TooLargeError):
+        chain_illuminator(chain)
+    top = MAX_ILLUMINATION_N - 1
+    w = chain_illuminator([ep(1, set(range(1, top + 1)), top)])
+    assert illuminates(w, ep(1, set(range(1, top + 1)), top))
+
+
 def test_illuminated_supports_are_nested_chains():
     rng = np.random.default_rng(8)
     for _ in range(200):
@@ -495,14 +508,16 @@ def test_minimum_cover_search_on_synthetic_instances():
         assert _minimum_cover(universe, patterns, upper=len(patterns)) == expected
 
 
-def test_minimum_cover_worker_fanout_matches_sequential():
-    from conelight.illumination import _minimum_cover
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_class_patterns_have_n_minus_1_bits(n):
+    # a class with k negative coordinates illuminates k positive and
+    # n - 1 - k negative supports, so no pattern can contain another and a
+    # minimum cover needs no dominance pruning
+    from conelight.illumination import _all_class_patterns
 
-    universe = 0b111111
-    patterns = [0b000111, 0b111000, 0b001100, 0b110001, 0b010010, 0b100100]
-    sequential = _minimum_cover(universe, patterns, upper=len(patterns), workers=1)
-    parallel = _minimum_cover(universe, patterns, upper=len(patterns), workers=2)
-    assert sequential == parallel == brute_force_min_cover(universe, patterns)
+    patterns = _all_class_patterns(n)
+    assert patterns
+    assert all(p.bit_count() == n - 1 for p in patterns)
 
 
 def test_illumination_number_exact_rejects_out_of_range():
@@ -510,10 +525,6 @@ def test_illumination_number_exact_rejects_out_of_range():
         illumination_number_exact(1)
     with pytest.raises(ValueError):
         illumination_number_exact(7)
-
-
-def test_illumination_number_exact_worker_fanout_matches_sequential():
-    assert illumination_number_exact(4, workers=2) == illumination_number_exact(4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
