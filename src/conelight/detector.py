@@ -20,9 +20,10 @@ symmetric chain decomposition, that typically meet this bound exactly on
 well-conditioned maps.
 
 The sampling loop works on blocks of BLOCK_SIZE test points: one draw, one
-map evaluation, one sort and one subset update per block.  A subset is a
-bitmask (bit i - 1 for index i) until the ledger first records it; a run
-that halts inside a block stops at exactly the sample that completed the
+map evaluation, one sort and one subset update per block.  Subsets are
+bitmasks (bit i - 1 for index i) throughout; the ledger computes a
+subset's sorted members once, when it first records the mask.  A run that
+halts inside a block stops at exactly the sample that completed the
 ledger, so the block size never shows in a report.
 """
 
@@ -35,15 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .geometry import as_positive_vector, mask_members, sorted_prefix_masks
-from .illumination import symmetric_chain_masks
-from .maps import (
-    DYNAMIC_RANGE_CAP,
-    ConeMap,
-    evaluate,
-    evaluate_batch,
-    ratio_vector,
-    verify_cone_map,
-)
+from .illumination import chain_depths, symmetric_chain_masks
+from .maps import DYNAMIC_RANGE_CAP, ConeMap, evaluate, evaluate_batch, verify_cone_map
 
 SAMPLER_MODES = ("unit-box", "log-uniform", "scheduled")
 
@@ -95,9 +89,9 @@ class SubsetLedger:
     """Recorded nonempty proper subsets plus a capped per-sample history.
 
     History beyond `history_cap` is dropped; the counters keep the full
-    summary either way.  `recorded` holds the subsets as frozensets;
-    alongside, `note_block` keeps the bitmask of each recorded subset
-    mapped to its sorted members.
+    summary either way.  `recorded` maps the bitmask of each recorded
+    subset to its sorted members, which `note_block` computes once, when it
+    first records the mask.
     """
 
     def __init__(self, n: int, history_cap: int = 1000):
@@ -105,8 +99,7 @@ class SubsetLedger:
             raise ValueError("dimension must be at least 1")
         self.n = n
         self.history_cap = history_cap
-        self.recorded: set[frozenset[int]] = set()
-        self._members: dict[int, tuple[int, ...]] = {}
+        self.recorded: dict[int, tuple[int, ...]] = {}
         self.history: list[SampleRecord] = []
         self.samples_seen = 0
 
@@ -129,14 +122,13 @@ class SubsetLedger:
         new = [
             (row, mask)
             for mask, row in zip(found.tolist(), rows[first].tolist())
-            if mask not in self._members
+            if mask not in self.recorded
         ]
         taken = len(masks)
-        if new and len(self._members) + len(new) >= self.total:
+        if new and len(self.recorded) + len(new) >= self.total:
             taken = max(row for row, _ in new) + 1
         for _, mask in new:
-            members = self._members[mask] = mask_members(mask)
-            self.recorded.add(frozenset(members))
+            self.recorded[mask] = mask_members(mask)
         kept = min(taken, self.history_cap - len(self.history))
         for i, (point, ratio, row) in enumerate(
             zip(points[:kept].tolist(), ratios[:kept].tolist(), masks[:kept].tolist())
@@ -146,7 +138,7 @@ class SubsetLedger:
                     index=self.samples_seen + i + 1,
                     point=tuple(point),
                     ratios=tuple(ratio),
-                    recorded=tuple(self._members[m] for m in row if m),
+                    recorded=tuple(self.recorded[m] for m in row if m),
                 )
             )
         self.samples_seen += taken
@@ -165,7 +157,7 @@ def _record_block(f: ConeMap, points, ledger: SubsetLedger) -> np.ndarray:
 def record_step(f: ConeMap, x, ledger: SubsetLedger) -> list[frozenset[int]]:
     """Evaluate one test point, record what it witnesses, return the subsets."""
     masks = _record_block(f, as_positive_vector(x)[np.newaxis], ledger)
-    return [frozenset(mask_members(m)) for m in masks[0].tolist() if m]
+    return [frozenset(ledger.recorded[m]) for m in masks[0].tolist() if m]
 
 
 def min_remaining_lower_bound(ledger: SubsetLedger) -> int:
@@ -180,8 +172,8 @@ def min_remaining_lower_bound(ledger: SubsetLedger) -> int:
     if n < 2:
         return 0
     recorded_by_size = [0] * n
-    for s in ledger.recorded:
-        recorded_by_size[len(s)] += 1
+    for mask in ledger.recorded:
+        recorded_by_size[mask.bit_count()] += 1
     return max(
         math.comb(n, k) - recorded_by_size[k] for k in range(1, n)
     )
@@ -217,8 +209,8 @@ class SamplerConfig:
                 f"radius must satisfy exp(2 * radius) <= {DYNAMIC_RANGE_CAP:g}, "
                 f"so at most {math.log(DYNAMIC_RANGE_CAP) / 2:.4g}"
             )
-        if self.beta <= 1.0:
-            raise ValueError("beta must exceed 1")
+        if not 1.0 < self.beta < math.inf:
+            raise ValueError("beta must exceed 1 and be finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.history_cap < 0:
@@ -295,42 +287,31 @@ class DetectionReport:
         }
 
 
-def chain_schedule(n: int, beta: float) -> list[np.ndarray]:
-    """Deterministic test points, one per symmetric chain, C(n, ceil(n/2))
-    in total.
+def chain_schedule(n: int, beta: float) -> np.ndarray:
+    """Deterministic test points, one row per symmetric chain, a
+    (C(n, ceil(n/2)), n) array.
 
     Each chain of nonempty proper subsets J_1 < ... < J_k (endpoints of the
     subset lattice removed) yields the point with coordinates beta**level,
-    where indices in J_1 sit at level k, each successive difference one
-    level lower, and the complement at level 0; the point is rescaled so
-    x_1 = 1, which leaves its ratio vector unchanged.  With beta large the
-    sorted ratios gap exactly at the level boundaries, so the sample
-    records its whole chain.
+    where the level of an index is the number of chain subsets holding it
+    (`chain_depths`): k in J_1, each successive difference one level
+    lower, 0 on the complement; the point is rescaled so x_1 = 1, which
+    leaves its ratio vector unchanged.  With beta large the sorted ratios
+    gap exactly at the level boundaries, so the sample records its whole
+    chain.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if beta <= 1.0:
+    if not beta > 1.0:
         raise ValueError("beta must exceed 1")
     if beta ** (n - 1) > DYNAMIC_RANGE_CAP:
         raise ValueError(
             f"beta**{n - 1} exceeds the dynamic range cap {DYNAMIC_RANGE_CAP:g}"
         )
     full = (1 << n) - 1
-    points: list[np.ndarray] = []
-    for chain in symmetric_chain_masks(n):
-        subsets = [J for J in chain if 0 < J < full]
-        if not subsets:
-            continue
-        k = len(subsets)
-        levels = np.zeros(n)
-        seen = 0
-        for depth, J in enumerate(subsets):
-            for idx in mask_members(J & ~seen):
-                levels[idx - 1] = k - depth
-            seen = J
-        x = beta**levels
-        points.append(x / x[0])
-    return points
+    proper_chains = [[J for J in chain if 0 < J < full] for chain in symmetric_chain_masks(n)]
+    x = beta ** chain_depths(proper_chains, n).astype(float)
+    return x / x[:, :1]
 
 
 @dataclass(frozen=True)
@@ -353,17 +334,20 @@ def estimate_eigenvector(
     (geometric mean; the max/min log-spread is the residual and is at most
     `tol`).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     x = as_positive_vector(x0)
+    y = evaluate(f, x)
     iterations = 0
     while True:
-        ratios = ratio_vector(f, x)
+        ratios = y / x
         residual = float(np.log(ratios.max()) - np.log(ratios.min()))
         if residual <= tol or iterations >= max_iter:
             break
-        y = evaluate(f, x)
         x = y / y[-1]
+        y = evaluate(f, x)
         iterations += 1
     return EigenEstimate(
         vector=tuple(float(v) for v in x),
@@ -441,9 +425,7 @@ def run(f: ConeMap, cfg: SamplerConfig) -> DetectionReport:
         recorded_count=len(ledger.recorded),
         total_subsets=ledger.total,
         remaining_lower_bound=min_remaining_lower_bound(ledger),
-        recorded_subsets=tuple(
-            sorted((tuple(sorted(s)) for s in ledger.recorded), key=lambda t: (len(t), t))
-        ),
+        recorded_subsets=tuple(sorted(ledger.recorded.values(), key=lambda t: (len(t), t))),
         history=tuple(ledger.history),
         history_truncated=ledger.samples_seen > len(ledger.history),
         eigenvector=None if estimate is None else estimate.vector,

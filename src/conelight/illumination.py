@@ -27,7 +27,7 @@ antichain certificates witnessing the matching lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations, permutations, zip_longest
 from math import comb
 from operator import or_
 from typing import Sequence
@@ -184,17 +184,19 @@ def _bit_matrix(masks, d: int) -> np.ndarray:
     return (np.asarray(masks, dtype=np.int64)[:, np.newaxis] >> np.arange(d)) & 1
 
 
+def chain_depths(chains: Sequence[Sequence[int]], d: int) -> np.ndarray:
+    """Row k, column j holds how many masks of chains[k] contain index j + 1."""
+    depth = np.zeros((len(chains), d), dtype=np.int64)
+    for masks in zip_longest(*chains, fillvalue=0):  # the empty mask holds no index
+        depth += _bit_matrix(masks, d)
+    return depth
+
+
 def _flag_directions(chains: Sequence[Sequence[int]], d: int) -> np.ndarray:
     """Row k assigns -d, ..., -1 along a flag of {1, ..., d} extending the
     strictly nested masks chains[k] (smallest first): the smallest mask's
     members ascending, then each successive difference, then the rest."""
-    full = (1 << d) - 1
-    width = max(map(len, chains), default=0)
-    padded = [list(c) + [full] * (width - len(c)) for c in chains]
-    level = np.zeros((len(chains), d), dtype=np.int64)
-    for depth in range(width):  # level of j: the chain masks missing j
-        level += 1 - _bit_matrix([c[depth] for c in padded], d)
-    order = np.argsort(level * d + np.arange(d), axis=1)
+    order = np.argsort(np.arange(d) - chain_depths(chains, d) * d, axis=1)
     directions = np.empty((len(chains), d))
     directions[np.arange(len(chains))[:, np.newaxis], order] = np.arange(-d, 0)
     return directions

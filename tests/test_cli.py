@@ -128,11 +128,21 @@ def test_detect_non_numeric_map_data_is_one_json_error(capsys, tmp_path):
     assert "Traceback" not in captured.err
 
 
-def test_detect_radius_beyond_dynamic_range_is_exit_1(capsys, matrix_file):
-    code, doc = run_cli(capsys, ["detect", "--map", matrix_file, "--radius", "1000"])
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        pytest.param(["detect", "--radius", "1000"], "radius", id="detect-radius-1000"),
+        pytest.param(["detect", "--beta", "nan"], "beta", id="detect-beta-nan"),
+        pytest.param(["detect", "--beta", "inf"], "beta", id="detect-beta-inf"),
+        pytest.param(["eigen", "--tol", "nan"], "tol", id="eigen-tol-nan"),
+        pytest.param(["eigen", "--max-iters", "-3"], "max_iter", id="eigen-max-iters-negative"),
+    ],
+)
+def test_settings_that_cannot_work_are_exit_1(capsys, matrix_file, argv, name):
+    code, doc = run_cli(capsys, [argv[0], "--map", matrix_file, *argv[1:]])
     assert code == 1
     assert doc["error"]["type"] == "invalid_input"
-    assert "radius" in doc["error"]["message"]
+    assert name in doc["error"]["message"]
 
 
 def test_detect_budget_exhausted_is_exit_2(capsys, shear2_file):

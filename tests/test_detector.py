@@ -20,7 +20,10 @@ from conelight.detector import (
     recordable_subsets,
     run,
 )
+from conelight.geometry import mask_members
+from conelight.illumination import symmetric_chain_masks
 from conelight.maps import (
+    DYNAMIC_RANGE_CAP,
     FunctionMap,
     InvalidMapError,
     MatrixMap,
@@ -111,7 +114,7 @@ def test_record_step_examples():
     ledger = SubsetLedger(2)
     got = record_step(shear2_map(), [1.0, 0.5], ledger)
     assert got == [frozenset({2})]
-    assert ledger.recorded == {frozenset({2})}
+    assert ledger.recorded == {0b10: (2,)}
 
     m = MatrixMap([[2, 1], [1, 2]])
     ledger2 = SubsetLedger(2)
@@ -134,17 +137,50 @@ def test_min_remaining_lower_bound_examples():
     assert min_remaining_lower_bound(empty) == 6  # the size-2 level
 
     full = SubsetLedger(2)
-    full.recorded = {frozenset({1}), frozenset({2})}
+    full.recorded = {0b01: (1,), 0b10: (2,)}
     assert min_remaining_lower_bound(full) == 0
 
     mid = SubsetLedger(4)
-    mid.recorded = {frozenset(c) for c in combinations(range(1, 5), 2)}
+    mid.recorded = {
+        sum(1 << (i - 1) for i in c): c for c in combinations(range(1, 5), 2)
+    }
     assert min_remaining_lower_bound(mid) == 4  # levels 1 and 3 both miss 4
 
 
 # ---------------------------------------------------------------------------
 # Schedules
 # ---------------------------------------------------------------------------
+
+
+def reference_chain_schedule(n, beta):
+    """The chain schedule built one chain at a time: indices in the
+    smallest subset at level k, each successive difference one level
+    lower, the complement at level 0."""
+    full = (1 << n) - 1
+    points = []
+    for chain in symmetric_chain_masks(n):
+        subsets = [J for J in chain if 0 < J < full]
+        k = len(subsets)
+        levels = np.zeros(n)
+        seen = 0
+        for depth, J in enumerate(subsets):
+            for idx in mask_members(J & ~seen):
+                levels[idx - 1] = k - depth
+            seen = J
+        x = beta**levels
+        points.append(x / x[0])
+    return points
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_chain_schedule_matches_reference(n):
+    for beta in (1.5, 10.0, 1000.0, DYNAMIC_RANGE_CAP ** (1 / (n - 1))):
+        if beta ** (n - 1) > DYNAMIC_RANGE_CAP:
+            continue
+        got = chain_schedule(n, beta)
+        want = reference_chain_schedule(n, beta)
+        assert got.shape == (comb(n, (n + 1) // 2), n)
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_chain_schedule_n2():
@@ -171,6 +207,8 @@ def test_chain_schedule_dynamic_range_cap():
         chain_schedule(1, 10.0)
     with pytest.raises(ValueError):
         chain_schedule(3, 1.0)
+    with pytest.raises(ValueError):
+        chain_schedule(3, float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +339,10 @@ def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(beta=1.0)
     with pytest.raises(ValueError):
+        SamplerConfig(beta=float("nan"))
+    with pytest.raises(ValueError):
+        SamplerConfig(beta=float("inf"))
+    with pytest.raises(ValueError):
         SamplerConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SamplerConfig(seed=-1)
@@ -369,8 +411,26 @@ def test_estimate_eigenvector_shear_does_not_converge():
 
 
 def test_estimate_eigenvector_rejects_bad_tol():
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            estimate_eigenvector(shear2_map(), [1.0, 1.0], tol=tol)
+
+
+def test_estimate_eigenvector_rejects_negative_max_iter():
     with pytest.raises(ValueError):
-        estimate_eigenvector(shear2_map(), [1.0, 1.0], tol=0.0)
+        estimate_eigenvector(shear2_map(), [1.0, 1.0], max_iter=-3)
+
+
+def test_estimate_eigenvector_evaluates_once_per_iteration():
+    calls = []
+
+    def apply(x):
+        calls.append(1)
+        return np.array([2 * x[0] + x[1], x[0] + 3 * x[1]])
+
+    est = estimate_eigenvector(FunctionMap(apply, dim=2), [1.0, 1.0], tol=1e-9)
+    assert est.converged and est.iterations == 21
+    assert len(calls) == est.iterations + 1
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +488,9 @@ def _assert_matches_reference(f, cfg):
     assert report.recorded_count == len(recorded)
     assert [(r.index, r.point, r.ratios, r.recorded) for r in report.history] == history
     assert report.halted == (len(recorded) == 2**f.dim - 2)
+    sizes = [len(s) for s in recorded]
+    deficits = [comb(f.dim, k) - sizes.count(k) for k in range(1, f.dim)]
+    assert report.remaining_lower_bound == max(deficits, default=0)
     return report
 
 
