@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import as_positive_vector, mask_members, sorted_prefix_masks
+from .geometry import as_positive_vector, mask_members, witnessed_masks
 from .illumination import chain_depths, symmetric_chain_masks
 from .maps import DYNAMIC_RANGE_CAP, ConeMap, evaluate, evaluate_batch, verify_cone_map
 
@@ -49,20 +49,6 @@ RATIO_TIE_RTOL = 1e-12
 BLOCK_SIZE = 512
 
 
-def _prefix_masks(ratios: np.ndarray, rel_tol: float = RATIO_TIE_RTOL) -> np.ndarray:
-    """The subsets each row of a (B, n) ratio array witnesses, as bitmasks.
-
-    Column c of the (B, n - 1) result is the mask of the c + 1 indices
-    with the smallest ratios when the gap after them is strict, else 0, so
-    a row lists its nested chain smallest first.  Gaps below `rel_tol`
-    relative are ties and never recorded across.  Masks are int64 up to
-    n = 62 and Python ints beyond.
-    """
-    ranked, _, prefixes = sorted_prefix_masks(ratios)
-    cur, nxt = ranked[:, :-1], ranked[:, 1:]
-    return np.where(nxt - cur > rel_tol * nxt, prefixes[:, :-1], 0)
-
-
 def recordable_subsets(ratios, rel_tol: float = RATIO_TIE_RTOL) -> list[frozenset[int]]:
     """Subsets witnessed by one ratio vector, smallest first.
 
@@ -71,7 +57,7 @@ def recordable_subsets(ratios, rel_tol: float = RATIO_TIE_RTOL) -> list[frozense
     across.  At most n - 1 subsets result and they are nested by
     construction.
     """
-    masks = _prefix_masks(np.asarray(ratios, dtype=float).reshape(1, -1), rel_tol)
+    masks = witnessed_masks(np.asarray(ratios, dtype=float).reshape(1, -1), rel_tol)
     return [frozenset(mask_members(m)) for m in masks[0].tolist() if m]
 
 
@@ -112,7 +98,7 @@ class SubsetLedger:
 
     def note_block(self, points: np.ndarray, ratios: np.ndarray, masks: np.ndarray) -> int:
         """Take a block of samples in order, given their points, ratios and
-        `_prefix_masks`, up to the sample that completes the ledger.
+        `witnessed_masks`, up to the sample that completes the ledger.
 
         Returns the number of samples taken: the whole block, unless the
         ledger filled inside it.
@@ -150,7 +136,7 @@ def _record_block(f: ConeMap, points, ledger: SubsetLedger) -> np.ndarray:
     stopping at the sample that completes the ledger; returns the prefix
     masks of the samples taken."""
     ratios = evaluate_batch(f, points) / points
-    masks = _prefix_masks(ratios)
+    masks = witnessed_masks(ratios, RATIO_TIE_RTOL)
     return masks[: ledger.note_block(points, ratios, masks)]
 
 

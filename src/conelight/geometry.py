@@ -179,14 +179,20 @@ def mask_members(mask: int) -> tuple[int, ...]:
     return tuple(members)
 
 
-def sorted_prefix_masks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort each row of a (B, k) array stably; return the sorted values,
-    the bit 1 << index of each sorted entry, and the prefix masks (column c
-    holds the c + 1 smallest entries).  Masks are int64 up to k = 62 and
-    Python ints beyond."""
+def witnessed_masks(values: np.ndarray, rel_tol: float = 0.0) -> np.ndarray:
+    """The strict prefixes of each sorted row of a (B, k) array, as bitmasks
+    (bit i - 1 for index i).
+
+    Column c of the (B, k - 1) result is the mask of the c + 1 smallest
+    entries when the gap after them is strict, else 0, so a row lists a
+    nested chain smallest first.  Gaps below `rel_tol` relative count as
+    ties.  Masks are int64 up to k = 62 and Python ints beyond.
+    """
     order = np.argsort(values, axis=1, kind="stable")
     bits = np.left_shift(1, order if values.shape[1] <= 62 else order.astype(object))
-    return np.take_along_axis(values, order, axis=1), bits, np.cumsum(bits, axis=1)
+    ranked = np.take_along_axis(values, order, axis=1)
+    cur, nxt = ranked[:, :-1], ranked[:, 1:]
+    return np.where(nxt - cur > rel_tol * nxt, np.cumsum(bits[:, :-1], axis=1), 0)
 
 
 def extreme_points(n: int) -> list[ExtremePoint]:

@@ -14,11 +14,16 @@ expansion of ||z + t*w||_H in t):
     w illuminates -1_I  iff  min_{i in I} w_i > 0 and
                              min_{i in I} w_i > w_j for every j not in I.
 
-Consequently the positive supports a single direction illuminates are the
-sets {j : w_j <= t} over the distinct negative values t of w, a nested
-chain, and symmetrically for negative supports.  This module exploits
-that structure to build an illuminating set of the optimal size
-C(n, ceil(n/2)) from a symmetric chain decomposition of the subset
+Appending a zero coordinate n turns both conditions into one: w
+illuminates the extreme point `subset_to_extreme_point(J, n)` iff J is a
+strict prefix of the sorted vector (w, 0), that is, iff a test point with
+log-ratio vector (w, 0) witnesses J for the eigenvector detector.  So
++1_I is lit iff I is a strict prefix that avoids n, and -1_I iff the
+complement of I in {1, ..., n} is a strict prefix that holds n.  This module reads the
+supports through the detector's kernel `witnessed_masks`, as n-bit subset
+masks (bit i - 1 for index i, bit n - 1 for index n).  It exploits the
+resulting chain structure to build an illuminating set of the optimal
+size C(n, ceil(n/2)) from a symmetric chain decomposition of the subset
 lattice, to compute the illumination number exactly for small n with a
 branch-and-bound set cover over canonical direction classes, and to emit
 antichain certificates witnessing the matching lower bound.
@@ -38,10 +43,9 @@ from .geometry import (
     DimensionMismatchError,
     ExtremePoint,
     as_finite_vector,
-    extreme_points,
     hilbert_norm,
     mask_members,
-    sorted_prefix_masks,
+    witnessed_masks,
 )
 
 # Step size factor for the small-t numeric illumination check.
@@ -50,10 +54,11 @@ NUMERIC_STEP = 1e-6
 # Size limits, checked before anything is built.  Work and memory grow as
 # 2^(n-1) extreme points and C(n, ceil(n/2)) directions for the optimal set
 # and its check, as 2^d vectors for a chain decomposition of {0,1}^d, and
-# as (n-1)! * n direction classes for a certificate.
+# as (n-1)! * n direction classes for a certificate or the exact number.
 MAX_ILLUMINATION_N = 20
 MAX_CHAIN_D = 20
 MAX_CERTIFICATE_N = 9
+MAX_EXACT_N = 6
 
 
 class TooLargeError(ValueError):
@@ -137,32 +142,19 @@ def illuminates_numeric(w, z: ExtremePoint, step: float = NUMERIC_STEP) -> bool:
     return hilbert_norm(z.realize() + t * wv) < 1.0
 
 
-def _support_masks(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The supports each row of an (m, d) direction block illuminates, as
-    bitmasks: a positive and a negative (m, d) array, each row a nested
-    chain read shortest first, 0 for no support.
-
-    +1_I is illuminated iff I = {j : w_j <= t} for a negative value t of
-    the row: the sorted prefix ending where a tie group below 0 ends.
-    -1_I is illuminated iff I = {j : w_j >= s} for a positive value s: the
-    complement of the prefix before a tie group above 0 starts.
-    """
-    ranked, bits, prefix = sorted_prefix_masks(block)
-    step = ranked[:, 1:] > ranked[:, :-1]
-    edge = np.ones((len(block), 1), dtype=bool)
-    plus = np.where(np.hstack([step, edge]) & (ranked < 0.0), prefix, 0)
-    full = (1 << block.shape[1]) - 1
-    minus = np.where(np.hstack([edge, step]) & (ranked > 0.0), full - (prefix - bits), 0)
-    return plus, minus[:, ::-1]
+def _witnessed(block: np.ndarray) -> np.ndarray:
+    """The subsets each row w of an (m, d) direction block witnesses as
+    (w, 0), as (m, d) n-bit masks, a nested chain read smallest first, 0
+    for none.  A mask J stands for the extreme point
+    `subset_to_extreme_point(J, d + 1)`, which w illuminates."""
+    return witnessed_masks(np.hstack([block, np.zeros((len(block), 1))]))
 
 
 def _coverage(block: np.ndarray, d: int) -> np.ndarray:
-    """(2, 2^d) flags of the positive (row 0) and negative (row 1) supports
-    the directions illuminate; column 0 stands for no support."""
-    plus, minus = _support_masks(block)
-    covered = np.zeros((2, 1 << d), dtype=bool)
-    covered[0, plus] = True
-    covered[1, minus] = True
+    """Flags, indexed by n-bit subset mask, of the extreme points the
+    directions illuminate; entries 0 and 2^n - 1 stand for no point."""
+    covered = np.zeros(2 << d, dtype=bool)
+    covered[_witnessed(block)] = True
     return covered
 
 
@@ -173,9 +165,12 @@ def illuminated_supports(w) -> tuple[list[frozenset[int]], list[frozenset[int]]]
     (negative) value t = max_I w, and symmetrically for -1_I.  Each list
     is a nested chain, shortest support first.
     """
-    plus, minus = _support_masks(as_direction(w)[np.newaxis])
-    return tuple(
-        [frozenset(mask_members(m)) for m in masks[0].tolist() if m] for masks in (plus, minus)
+    wv = as_direction(w)
+    full = (2 << wv.size) - 1
+    masks = [m for m in _witnessed(wv[np.newaxis])[0].tolist() if m]
+    return (
+        [frozenset(mask_members(m)) for m in masks if not m >> wv.size],
+        [frozenset(mask_members(full - m)) for m in masks[::-1] if m >> wv.size],
     )
 
 
@@ -326,7 +321,7 @@ def optimal_illuminating_set(n: int) -> list[np.ndarray]:
             directions.append(1.0 - 2.0 * _bit_matrix(chain, d)[0])
         else:
             directions += [next(plus), next(minus)]
-    if not _coverage(np.array(directions), d)[:, 1:].all():
+    if not _coverage(np.array(directions), d)[1:-1].all():
         raise RuntimeError(f"the directions built for n = {n} miss an extreme point")
     return directions
 
@@ -362,13 +357,12 @@ def verify_illumination(directions: Sequence, n: int) -> IlluminationReport:
         raise ValueError("n must be at least 2")
     d = n - 1
     block = _direction_block(directions, d)
+    masks = np.flatnonzero(~_coverage(block, d)[1:-1]) + 1
+    split = np.searchsorted(masks, 1 << d)
     missing = tuple(
         ExtremePoint(sign, members, d)
-        for sign, flags in zip((1, -1), _coverage(block, d))
-        for members in sorted(
-            map(mask_members, (np.flatnonzero(~flags[1:]) + 1).tolist()),
-            key=lambda s: (len(s), s),
-        )
+        for sign, supports in ((1, masks[:split]), (-1, (2 << d) - 1 - masks[split:]))
+        for members in sorted(map(mask_members, supports.tolist()), key=lambda s: (len(s), s))
     )
     return IlluminationReport(n, len(block), not missing, missing)
 
@@ -414,15 +408,11 @@ def _class_block(d: int) -> np.ndarray:
 def _all_class_patterns(n: int) -> list[int]:
     """Bitmask illumination patterns of every canonical class, deduplicated.
 
-    Bit i corresponds to extreme_points(n)[i].
+    Bit J - 1 stands for the extreme point of the n-bit subset mask J.
     """
-    d = n - 1
-    bit = np.zeros((2, 1 << d), dtype=object)  # [sign row, support mask] -> 1 << index
-    for i, z in enumerate(extreme_points(n)):
-        bit[int(z.sign < 0), z.mask] = 1 << i
-    plus, minus = _support_masks(_class_block(d))
-    patterns = np.bitwise_or.reduce(np.hstack([bit[0, plus], bit[1, minus]]), axis=1)
-    return sorted(set(patterns.tolist()) - {0})
+    masks = _witnessed(_class_block(n - 1))
+    patterns = np.bitwise_or.reduce((1 << masks.astype(object)) >> 1, axis=1)
+    return sorted(set(patterns.tolist()))
 
 
 def _disjoint_lower_bound(
@@ -503,12 +493,13 @@ def illumination_number_exact(n: int) -> int:
     computed by exact set cover over the canonical direction classes.
 
     Seeded with the constructive upper bound, then searched exhaustively
-    for anything smaller.  Supported for 2 <= n <= 6; the class count
+    for anything smaller.  Supported for 2 <= n <= MAX_EXACT_N; the class count
     (n-1)! * n grows factorially, and beyond the cap the certificates take
     over.
     """
-    if not 2 <= n <= 6:
-        raise ValueError("exact illumination number is supported for 2 <= n <= 6")
+    _check_size("n", n, MAX_EXACT_N)
+    if n < 2:
+        raise ValueError("n must be at least 2")
     universe = (1 << (2**n - 2)) - 1
     # Dominated patterns need no pruning, as there are none: a class with k
     # negative coordinates illuminates exactly k positive and n - 1 - k
@@ -587,16 +578,17 @@ def lower_bound_certificate(n: int) -> LowerBoundCertificate:
     points = [
         ExtremePoint(1, frozenset(c), d) for c in combinations(range(1, d + 1), k)
     ] + [ExtremePoint(-1, frozenset(c), d) for c in combinations(range(1, d + 1), m)]
-    index = np.full((2, 1 << d), -1)  # [sign row, support mask] -> point index
+    index = np.full(2 << d, -1)  # n-bit subset mask -> point index
     for i, p in enumerate(points):
-        index[int(p.sign < 0), p.mask] = i
+        index[p.mask if p.sign > 0 else (2 << d) - 1 - p.mask] = i
 
     block = _class_block(d)
-    plus, minus = _support_masks(block)
-    # a row's positive supports strictly nest, so at most one has size k and
-    # it hits at most one positive point; likewise for the negative ones
-    hits = np.stack([index[0, plus].max(axis=1), index[1, minus].max(axis=1)], axis=1)
-    shareable = {(a, b) for a, b in hits[(hits >= 0).all(axis=1)].tolist()}
+    hits = index[_witnessed(block)]
+    shareable = {
+        pair
+        for row in hits[(hits >= 0).sum(axis=1) > 1].tolist()
+        for pair in combinations(sorted(i for i in row if i >= 0), 2)
+    }
     return LowerBoundCertificate(
         n, tuple(points), tuple(sorted(shareable)), len(block)
     )

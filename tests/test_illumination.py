@@ -7,11 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelight import illumination
-from conelight.detector import chain_schedule
-from conelight.geometry import DimensionMismatchError, ExtremePoint, extreme_points
+from conelight.detector import chain_schedule, recordable_subsets
+from conelight.geometry import (
+    DimensionMismatchError,
+    ExtremePoint,
+    extreme_points,
+    subset_to_extreme_point,
+)
 from conelight.illumination import (
     MAX_CERTIFICATE_N,
     MAX_CHAIN_D,
+    MAX_EXACT_N,
     MAX_ILLUMINATION_N,
     TooLargeError,
     canonical_class_representative,
@@ -171,23 +177,52 @@ def test_illuminated_supports_matches_predicate_even_with_ties():
             assert got == expected
 
 
+def test_illuminated_supports_with_python_int_masks():
+    # (w, 0) has 71 > 62 entries, so the subset masks are Python ints
+    rng = np.random.default_rng(71)
+    w = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=70)
+    plus, minus = illuminated_supports(w)
+    assert (plus, minus) == reference_supports(w)
+    assert len(plus) == len(minus) == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(direction_blocks)
+def test_detector_witnesses_exactly_the_illuminated_points(case):
+    # the identity behind the sample bound: a test point with log-ratio
+    # vector (w, 0) records exactly the subsets J whose extreme points w
+    # illuminates
+    n, rows = case
+    points = extreme_points(n)
+    for w in rows:
+        witnessed = recordable_subsets(np.append(w, 0.0), rel_tol=0.0)
+        assert {subset_to_extreme_point(J, n) for J in witnessed} == {
+            z for z in points if illuminates(w, z)
+        }
+
+
 @settings(max_examples=150, deadline=None)
 @given(direction_blocks)
 def test_support_kernel_matches_closed_form_predicate(case):
     n, rows = case
     if not rows:
         return
-    plus, minus = illumination._support_masks(np.array(rows))
+    masks = illumination._witnessed(np.array(rows))
     points = extreme_points(n)
-    for w, prow, mrow in zip(rows, plus.tolist(), minus.tolist()):
+    d, full = n - 1, (1 << n) - 1
+    for w, row in zip(rows, masks.tolist()):
+        # n-bit subsets: those avoiding index n are positive supports, the
+        # others complement to negative supports
+        prow = [m for m in row if m and not m >> d]
+        mrow = [full - m for m in row[::-1] if m >> d]
         expected = {(z.sign, z.mask) for z in points if illuminates(w, z)}
-        got = {(1, m) for m in prow if m} | {(-1, m) for m in mrow if m}
+        got = {(1, m) for m in prow} | {(-1, m) for m in mrow}
         assert got == expected
         # both chains shortest first, as illuminated_supports lists them
         sets = illuminated_supports(w)
         assert sets == reference_supports(w)
-        assert [sum(1 << (i - 1) for i in s) for s in sets[0]] == [m for m in prow if m]
-        assert [sum(1 << (i - 1) for i in s) for s in sets[1]] == [m for m in mrow if m]
+        assert [sum(1 << (i - 1) for i in s) for s in sets[0]] == prow
+        assert [sum(1 << (i - 1) for i in s) for s in sets[1]] == mrow
 
 
 @settings(max_examples=150, deadline=None)
@@ -213,16 +248,15 @@ def test_optimal_set_equals_composition_of_public_illuminators(n):
 
 
 def test_optimal_set_raises_when_a_support_goes_unilluminated(monkeypatch):
-    kernel = illumination._support_masks
+    kernel = illumination._witnessed
 
     def drop_one(block):
-        plus, minus = kernel(block)
-        plus = plus.copy()
-        row, col = np.argwhere(plus)[0]
-        plus[row, col] = 0
-        return plus, minus
+        masks = kernel(block).copy()
+        row, col = np.argwhere(masks)[0]
+        masks[row, col] = 0
+        return masks
 
-    monkeypatch.setattr(illumination, "_support_masks", drop_one)
+    monkeypatch.setattr(illumination, "_witnessed", drop_one)
     with pytest.raises(RuntimeError):
         optimal_illuminating_set(6)
 
@@ -236,7 +270,7 @@ def test_illuminators_raise_when_the_closed_form_check_fails(monkeypatch):
 
 
 def test_size_limits_raise_too_large_before_building():
-    assert (MAX_ILLUMINATION_N, MAX_CHAIN_D, MAX_CERTIFICATE_N) == (20, 20, 9)
+    assert (MAX_ILLUMINATION_N, MAX_CHAIN_D, MAX_CERTIFICATE_N, MAX_EXACT_N) == (20, 20, 9, 6)
     assert issubclass(TooLargeError, ValueError)
     with pytest.raises(TooLargeError):
         optimal_illuminating_set(MAX_ILLUMINATION_N + 1)
@@ -246,6 +280,8 @@ def test_size_limits_raise_too_large_before_building():
         symmetric_chain_decomposition(MAX_CHAIN_D + 1)
     with pytest.raises(TooLargeError):
         lower_bound_certificate(MAX_CERTIFICATE_N + 1)
+    with pytest.raises(TooLargeError):
+        illumination_number_exact(MAX_EXACT_N + 1)
     # the scheduled sampler builds the same chains, over n indices
     with pytest.raises(TooLargeError):
         chain_schedule(MAX_CHAIN_D + 1, 1.1)
@@ -548,6 +584,20 @@ def test_certificate_pair_logic_spot():
     a = idx[(1, frozenset({1}))]
     b = idx[(1, frozenset({2}))]
     assert tuple(sorted((a, b))) not in cert.shareable_pairs
+
+
+def test_certificate_reports_points_one_class_illuminates_together(monkeypatch):
+    kernel = illumination._witnessed
+
+    def share_first_two(block):
+        masks = kernel(block).copy()
+        masks[0] = [0b001, 0b010]  # one row witnessing {1} and {2}: +1_{1} and +1_{2}
+        return masks
+
+    monkeypatch.setattr(illumination, "_witnessed", share_first_two)
+    cert = lower_bound_certificate(3)
+    assert cert.shareable_pairs == ((0, 1),)
+    assert not cert.all_unshareable
 
 
 def test_certificate_serialization_shape():
