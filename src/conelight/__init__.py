@@ -37,16 +37,12 @@ from .illumination import (
     IlluminationReport,
     LowerBoundCertificate,
     TooLargeError,
-    canonical_class_representative,
-    chain_illuminator,
     illuminated_supports,
     illuminates,
     illuminates_numeric,
     illumination_number_exact,
     lower_bound_certificate,
     optimal_illuminating_set,
-    pair_illuminator,
-    symmetric_chain_decomposition,
     verify_illumination,
 )
 from .maps import (
@@ -86,8 +82,6 @@ __all__ = [
     "SamplerConfig",
     "SubsetLedger",
     "TooLargeError",
-    "canonical_class_representative",
-    "chain_illuminator",
     "chain_schedule",
     "conjugate_log_map",
     "estimate_eigenvector",
@@ -108,14 +102,12 @@ __all__ = [
     "min_remaining_lower_bound",
     "normalize",
     "optimal_illuminating_set",
-    "pair_illuminator",
     "ratio_vector",
     "record_step",
     "recordable_subsets",
     "run_detection",
     "shear2_map",
     "subset_to_extreme_point",
-    "symmetric_chain_decomposition",
     "variation_norm",
     "verify_cone_map",
     "verify_illumination",

@@ -57,7 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--directions", required=True, help="JSON file: array of float arrays")
 
-    p = sub.add_parser("illuminate-number", help="exact illumination number (2 <= n <= 6)")
+    p = sub.add_parser(
+        "illuminate-number",
+        help=f"exact illumination number (2 <= n <= {illumination.MAX_EXACT_N})",
+    )
     p.add_argument("-n", type=int, required=True)
 
     p = sub.add_parser("chains", help="symmetric chain decomposition of {0,1}^d")
@@ -138,13 +141,13 @@ def _cmd_illuminate_number(args) -> int:
 
 
 def _cmd_chains(args) -> int:
-    chains = illumination.symmetric_chain_decomposition(args.d)
+    chains = illumination.symmetric_chain_masks(args.d)
     _emit(
         {
             "command": "chains",
             "d": args.d,
             "count": len(chains),
-            "chains": [[list(v) for v in chain] for chain in chains],
+            "chains": [illumination._bit_matrix(chain, args.d).tolist() for chain in chains],
         }
     )
     return EXIT_OK

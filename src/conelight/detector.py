@@ -83,6 +83,8 @@ class SubsetLedger:
     def __init__(self, n: int, history_cap: int = 1000):
         if n < 1:
             raise ValueError("dimension must be at least 1")
+        if history_cap < 0:
+            raise ValueError("history_cap must be nonnegative")
         self.n = n
         self.history_cap = history_cap
         self.recorded: dict[int, tuple[int, ...]] = {}

@@ -24,16 +24,17 @@ supports through the detector's kernel `witnessed_masks`, as n-bit subset
 masks (bit i - 1 for index i, bit n - 1 for index n).  It exploits the
 resulting chain structure to build an illuminating set of the optimal
 size C(n, ceil(n/2)) from a symmetric chain decomposition of the subset
-lattice, to compute the illumination number exactly for small n with a
-branch-and-bound set cover over canonical direction classes, and to emit
+lattice, to compute the illumination number exactly as the least number
+of chains covering the proper subsets of {1, ..., n} (a maximum matching
+that certifies itself with an antichain of the same size), and to emit
 antichain certificates witnessing the matching lower bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, combinations, permutations, zip_longest
-from math import comb
 from operator import or_
 from typing import Sequence
 
@@ -53,12 +54,13 @@ NUMERIC_STEP = 1e-6
 
 # Size limits, checked before anything is built.  Work and memory grow as
 # 2^(n-1) extreme points and C(n, ceil(n/2)) directions for the optimal set
-# and its check, as 2^d vectors for a chain decomposition of {0,1}^d, and
-# as (n-1)! * n direction classes for a certificate or the exact number.
+# and its check, as 2^d vectors for a chain decomposition of {0,1}^d, as
+# (n-1)! * n direction classes for a certificate, and as 2^n - 2 subsets
+# with about 3^n inclusion pairs for the exact number.
 MAX_ILLUMINATION_N = 20
 MAX_CHAIN_D = 20
 MAX_CERTIFICATE_N = 9
-MAX_EXACT_N = 6
+MAX_EXACT_N = 12
 
 
 class TooLargeError(ValueError):
@@ -197,56 +199,6 @@ def _flag_directions(chains: Sequence[Sequence[int]], d: int) -> np.ndarray:
     return directions
 
 
-def chain_illuminator(chain: Sequence[ExtremePoint]) -> np.ndarray:
-    """One direction illuminating every element of a same-sign nested chain.
-
-    Extends the chain's supports to a full flag of {1, ..., dim}, then
-    assigns the integer values -dim, ..., -1 in flag order (negated for a
-    negative-sign chain).  For the k-th flag set the closed form reads
-    value_k < value_(k+1) < ... < 0, which holds by construction.
-    """
-    pts = list(chain)
-    if not pts:
-        raise ValueError("chain must be nonempty")
-    dim = pts[0].dim
-    _check_size("dim", dim, MAX_ILLUMINATION_N - 1)
-    sign = pts[0].sign
-    if any(p.dim != dim for p in pts):
-        raise DimensionMismatchError("chain members must share a dimension")
-    if any(p.sign != sign for p in pts):
-        raise ValueError("chain members must share a sign")
-    masks = sorted((p.mask for p in pts), key=int.bit_count)
-    for small, big in zip(masks, masks[1:]):
-        if small == big or small & ~big:
-            raise ValueError("chain supports must be strictly nested")
-    w = sign * _flag_directions([masks], dim)[0]
-    if not all(illuminates(w, p) for p in pts):
-        raise RuntimeError("chain illuminator fails the closed-form check")
-    return w
-
-
-def pair_illuminator(x: ExtremePoint, x_complement: ExtremePoint) -> np.ndarray:
-    """One direction illuminating a positive point and its negative
-    complement (-1 exactly off the positive support).
-
-    The direction is -1 on the positive support and +1 off it, which
-    satisfies both closed-form conditions simultaneously.
-    """
-    if x.sign != 1 or x_complement.sign != -1:
-        raise ValueError("expected a positive point and a negative point")
-    if x.dim != x_complement.dim:
-        raise DimensionMismatchError("points must share a dimension")
-    full = frozenset(range(1, x.dim + 1))
-    if x_complement.support != full - x.support:
-        raise ValueError("second point must be the complement of the first")
-    w = np.ones(x.dim)
-    for i in x.support:
-        w[i - 1] = -1.0
-    if not (illuminates(w, x) and illuminates(w, x_complement)):
-        raise RuntimeError("pair illuminator fails the closed-form check")
-    return w
-
-
 def symmetric_chain_masks(d: int) -> list[list[int]]:
     """Partition the subsets of {1, ..., d}, as bitmasks (bit i - 1 for
     index i), into C(d, ceil(d/2)) symmetric chains, each listed from its
@@ -277,15 +229,6 @@ def symmetric_chain_masks(d: int) -> list[list[int]]:
     extend(0, 0, [])
     chains.sort()
     return chains
-
-
-def symmetric_chain_decomposition(d: int) -> list[list[tuple[int, ...]]]:
-    """Partition {0,1}^d into C(d, ceil(d/2)) symmetric chains, as bit
-    tuples; see `symmetric_chain_masks`."""
-    return [
-        [tuple((mask >> i) & 1 for i in range(d)) for mask in chain]
-        for chain in symmetric_chain_masks(d)
-    ]
 
 
 def optimal_illuminating_set(n: int) -> list[np.ndarray]:
@@ -368,7 +311,125 @@ def verify_illumination(directions: Sequence, n: int) -> IlluminationReport:
 
 
 # ---------------------------------------------------------------------------
-# Canonical direction classes and the exact set-cover oracle
+# The exact illumination number, by Dilworth's theorem
+# ---------------------------------------------------------------------------
+#
+# A direction lights exactly the subsets that are strict prefixes of the
+# sorted (w, 0), a chain, and `_flag_directions` lights any chain of proper
+# subsets with one direction.  So the illumination number is the least
+# number of chains covering the 2^n - 2 proper subsets of {1, ..., n}, which
+# by Dilworth's theorem is the largest antichain among them.
+
+
+def _chain_cover(masks) -> tuple[list[list[int]], list[int]]:
+    """A minimum partition of a family of distinct int masks into strictly
+    nested chains (each listed smallest first), and an antichain of the same
+    size, which proves no smaller partition exists.
+
+    Each mask links to its strict supersets in the family; a maximum
+    matching of these links (Hopcroft-Karp) joins the masks into
+    len(masks) - |matching| chains (Fulkerson).  The masks the final
+    alternating search reaches as lower ends but not as upper ends form the
+    antichain (Konig).
+    """
+    masks = list(masks)
+    index = {m: i for i, m in enumerate(masks)}
+    full = reduce(or_, masks, 0)
+    above = []
+    for m in masks:
+        rest = full & ~m
+        ups, sub = [], rest
+        while sub:  # every nonempty submask of the complement
+            if m | sub in index:
+                ups.append(index[m | sub])
+            sub = (sub - 1) & rest
+        above.append(ups)
+
+    size = len(masks)
+    succ, pred = [-1] * size, [-1] * size  # the matching, as chain links
+    while True:
+        # layer the lower ends by alternating distance from the unlinked ones
+        layer = [-1] * size
+        queue = [i for i in range(size) if succ[i] < 0]
+        for i in queue:
+            layer[i] = 0
+        open_end = False
+        for i in queue:
+            for j in above[i]:
+                k = pred[j]
+                if k < 0:
+                    open_end = True
+                elif layer[k] < 0:
+                    layer[k] = layer[i] + 1
+                    queue.append(k)
+        if not open_end:
+            break
+        # augment along layered paths, depth first; a dead end leaves the layering
+        cursor = [0] * size
+        for root in range(size):
+            if succ[root] >= 0:
+                continue
+            path, stack = [], [root]
+            while stack:
+                i = stack[-1]
+                while cursor[i] < len(above[i]):
+                    j = above[i][cursor[i]]
+                    cursor[i] += 1
+                    k = pred[j]
+                    if k < 0 or layer[k] == layer[i] + 1:
+                        break
+                else:
+                    layer[i] = -1
+                    stack.pop()
+                    if path:
+                        path.pop()
+                    continue
+                path.append(j)
+                if k >= 0:
+                    stack.append(k)
+                    continue
+                for lo, hi in zip(stack, path):
+                    succ[lo], pred[hi] = hi, lo
+                break
+
+    chains = []
+    for i in range(size):
+        if pred[i] < 0:
+            chain = [i]
+            while succ[chain[-1]] >= 0:
+                chain.append(succ[chain[-1]])
+            chains.append([masks[k] for k in chain])
+    antichain = [
+        masks[i] for i in range(size) if layer[i] >= 0 and not (pred[i] >= 0 and layer[pred[i]] >= 0)
+    ]
+    return chains, antichain
+
+
+def illumination_number_exact(n: int) -> int:
+    """Minimum number of directions illuminating all extreme points.
+
+    Runs `_chain_cover` on the 2^n - 2 proper subsets of {1, ..., n} and
+    checks both of its witnesses before answering: the chains, one flag
+    direction each, must illuminate every extreme point, and the antichain,
+    of which one direction lights at most one member, must be pairwise
+    non-nested and as large as the cover.  Supported for 2 <= n <=
+    MAX_EXACT_N; the graph has about 3^n inclusion pairs.
+    """
+    _check_size("n", n, MAX_EXACT_N)
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    chains, antichain = _chain_cover(range(1, (1 << n) - 1))
+    flags = _flag_directions(chains, n)
+    if not _coverage(flags[:, :-1] - flags[:, -1:], n - 1)[1:-1].all():
+        raise RuntimeError(f"the chain cover for n = {n} misses an extreme point")
+    members = np.array(antichain, dtype=np.int64)[:, np.newaxis]
+    nested = np.count_nonzero((members & members.T) == members)  # the diagonal at least
+    if len(antichain) != len(chains) or nested != len(antichain):
+        raise RuntimeError(f"the antichain for n = {n} does not match the chain cover")
+    return len(chains)
+
+# ---------------------------------------------------------------------------
+# Lower-bound certificates
 # ---------------------------------------------------------------------------
 #
 # The illumination pattern of a direction only depends on the relative
@@ -376,142 +437,18 @@ def verify_illumination(directions: Sequence, n: int) -> IlluminationReport:
 # zero coordinates never help: every closed-form condition is a strict
 # inequality, so it survives any sufficiently small perturbation, and a
 # generic perturbation makes the coordinates distinct and nonzero while
-# keeping (at least) the same pattern.  It therefore suffices to search
-# over the (n-1)! * n canonical classes (a permutation giving the strict
-# coordinate order plus the count of negative coordinates).
-
-
-def canonical_class_representative(perm: Sequence[int], negatives: int) -> np.ndarray:
-    """Concrete direction for the class (coordinate order, negative count).
-
-    The coordinate in sorted position k (0-based) receives k + 0.5 -
-    negatives, so exactly `negatives` values are below zero and all values
-    are distinct and nonzero.
-    """
-    d = len(perm)
-    if not 0 <= negatives <= d:
-        raise ValueError("negative count must lie in 0..dim")
-    w = np.empty(d)
-    w[list(perm)] = np.arange(d) + 0.5 - negatives
-    return w
+# keeping (at least) the same pattern.  It therefore suffices to check the
+# (n-1)! * n canonical classes (a permutation giving the strict coordinate
+# order plus the count of negative coordinates).
 
 
 def _class_block(d: int) -> np.ndarray:
-    """Every canonical class representative, d! * (d + 1) rows of
-    dimension d, permutation-major as `canonical_class_representative`
-    numbers them: row (perm, negatives) holds rank + 0.5 - negatives at
-    coordinate perm[rank]."""
+    """One representative of every canonical class, d! * (d + 1) rows of
+    dimension d, permutation-major: row (perm, negatives) holds rank + 0.5 -
+    negatives at coordinate perm[rank], so exactly `negatives` values are
+    below zero and all values are distinct and nonzero."""
     ranks = np.argsort(np.array(list(permutations(range(d)))), axis=1)
     return (ranks[:, np.newaxis, :] + 0.5 - np.arange(d + 1)[:, np.newaxis]).reshape(-1, d)
-
-
-def _all_class_patterns(n: int) -> list[int]:
-    """Bitmask illumination patterns of every canonical class, deduplicated.
-
-    Bit J - 1 stands for the extreme point of the n-bit subset mask J.
-    """
-    masks = _witnessed(_class_block(n - 1))
-    patterns = np.bitwise_or.reduce((1 << masks.astype(object)) >> 1, axis=1)
-    return sorted(set(patterns.tolist()))
-
-
-def _disjoint_lower_bound(
-    covered: int, order: list[int], elem_pattern_mask: list[int]
-) -> int:
-    """Admissible lower bound on the patterns still needed.
-
-    Greedily collects uncovered elements no two of which share a covering
-    pattern; any cover spends at least one pattern per collected element.
-    """
-    used = 0
-    bound = 0
-    for e in order:
-        if (covered >> e) & 1:
-            continue
-        mask = elem_pattern_mask[e]
-        if mask & used == 0:
-            bound += 1
-            used |= mask
-    return bound
-
-
-def _cover_search(
-    universe: int,
-    patterns: list[int],
-    order: list[int],
-    cover_by_elem: list[list[int]],
-    elem_pattern_mask: list[int],
-    start_covered: int,
-    start_count: int,
-    best: int,
-) -> int:
-    """Depth-first branch and bound; returns the best cover size found
-    strictly below `best`, or `best` if none exists in this subtree."""
-    stack = [(start_covered, start_count)]
-    while stack:
-        covered, count = stack.pop()
-        if covered == universe:
-            if count < best:
-                best = count
-            continue
-        if count + 1 >= best:
-            continue
-        if count + _disjoint_lower_bound(covered, order, elem_pattern_mask) >= best:
-            continue
-        branch_elem = next(e for e in order if not (covered >> e) & 1)
-        choices = sorted(
-            cover_by_elem[branch_elem],
-            key=lambda pi: bin(patterns[pi] & ~covered).count("1"),
-        )
-        # pushed smallest-gain first so the most promising branch pops first
-        for pi in choices:
-            stack.append((covered | patterns[pi], count + 1))
-    return best
-
-
-def _minimum_cover(universe: int, patterns: list[int], upper: int) -> int:
-    """Exact minimum set cover, assuming a cover of size `upper` is known
-    to exist."""
-    count_points = universe.bit_length()
-    cover_by_elem = [
-        [pi for pi, p in enumerate(patterns) if (p >> e) & 1] for e in range(count_points)
-    ]
-    if any(not c for c in cover_by_elem):
-        raise ValueError("some element is covered by no pattern")
-    elem_pattern_mask = [
-        sum(1 << pi for pi in cover_by_elem[e]) for e in range(count_points)
-    ]
-    order = sorted(range(count_points), key=lambda e: len(cover_by_elem[e]))
-
-    if _disjoint_lower_bound(0, order, elem_pattern_mask) >= upper:
-        return upper
-    return _cover_search(universe, patterns, order, cover_by_elem, elem_pattern_mask, 0, 0, upper)
-
-
-def illumination_number_exact(n: int) -> int:
-    """Minimum number of directions illuminating all extreme points,
-    computed by exact set cover over the canonical direction classes.
-
-    Seeded with the constructive upper bound, then searched exhaustively
-    for anything smaller.  Supported for 2 <= n <= MAX_EXACT_N; the class count
-    (n-1)! * n grows factorially, and beyond the cap the certificates take
-    over.
-    """
-    _check_size("n", n, MAX_EXACT_N)
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    universe = (1 << (2**n - 2)) - 1
-    # Dominated patterns need no pruning, as there are none: a class with k
-    # negative coordinates illuminates exactly k positive and n - 1 - k
-    # negative supports, so every pattern has n - 1 bits, and distinct
-    # patterns of equal size never contain one another.
-    # optimal_illuminating_set checks its own coverage, raising if it fails.
-    return _minimum_cover(universe, _all_class_patterns(n), len(optimal_illuminating_set(n)))
-
-
-# ---------------------------------------------------------------------------
-# Lower-bound certificates
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

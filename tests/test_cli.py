@@ -104,7 +104,7 @@ def test_illuminate_verify_malformed_directions_is_one_json_error(capsys, tmp_pa
         ["illuminate-optimal", "-n", "40"],
         ["illuminate-verify", "-n", "40", "--directions", "DIRS"],
         ["certificate", "-n", "15"],
-        ["illuminate-number", "-n", "7"],
+        ["illuminate-number", "-n", "13"],
     ],
 )
 def test_over_limit_sizes_are_one_too_large_error(capsys, tmp_path, argv):

@@ -147,6 +147,16 @@ def test_min_remaining_lower_bound_examples():
     assert min_remaining_lower_bound(mid) == 4  # levels 1 and 3 both miss 4
 
 
+def test_subset_ledger_rejects_negative_history_cap():
+    # a negative cap would make `cap - len(history)` slice points from the end
+    with pytest.raises(ValueError, match="history_cap"):
+        SubsetLedger(3, history_cap=-1)
+    ledger = SubsetLedger(3, history_cap=0)
+    x = np.exp(np.random.default_rng(4).uniform(-3.0, 3.0, (5, 3)))
+    detector._record_block(_random_matrix(3, 1), x, ledger)
+    assert ledger.samples_seen and ledger.history == []
+
+
 # ---------------------------------------------------------------------------
 # Schedules
 # ---------------------------------------------------------------------------

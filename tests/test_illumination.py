@@ -1,9 +1,9 @@
-from itertools import permutations
-from math import comb
+from itertools import combinations
+from math import comb, factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conelight import illumination
@@ -12,6 +12,7 @@ from conelight.geometry import (
     DimensionMismatchError,
     ExtremePoint,
     extreme_points,
+    mask_members,
     subset_to_extreme_point,
 )
 from conelight.illumination import (
@@ -20,16 +21,13 @@ from conelight.illumination import (
     MAX_EXACT_N,
     MAX_ILLUMINATION_N,
     TooLargeError,
-    canonical_class_representative,
-    chain_illuminator,
     illuminated_supports,
     illuminates,
     illuminates_numeric,
     illumination_number_exact,
     lower_bound_certificate,
     optimal_illuminating_set,
-    pair_illuminator,
-    symmetric_chain_decomposition,
+    symmetric_chain_masks,
     verify_illumination,
 )
 
@@ -71,27 +69,66 @@ def reference_verify(directions, n):
     return len(directions), not missing, missing
 
 
+def flag_direction(supports, d):
+    """The chain illuminator: -d, ..., -1 in the order of a flag of
+    {1, ..., d} through the strictly nested `supports` (smallest first),
+    each new index block ascending.  For the k-th support the closed form
+    reads max over it < min(0, min over the rest), which holds by
+    construction."""
+    order, seen = [], frozenset()
+    for s in [*supports, frozenset(range(1, d + 1))]:
+        order += sorted(s - seen)
+        seen = s
+    w = np.empty(d)
+    w[np.array(order) - 1] = np.arange(-d, 0)
+    return w
+
+
+def pair_direction(support, d):
+    """-1 on `support` and +1 off it: illuminates +1_support and -1_complement."""
+    w = np.ones(d)
+    w[[i - 1 for i in support]] = -1.0
+    return w
+
+
+def decoded(chain, d):
+    """A chain of bitmasks as 0/1 tuples, coordinate i - 1 for index i."""
+    return [tuple((m >> i) & 1 for i in range(d)) for m in chain]
+
+
 def reference_optimal_set(n):
-    """The optimal set composed from the public illuminators, chain by chain."""
+    """The optimal set composed from test-local illuminators, chain by chain."""
     d = n - 1
     full = frozenset(range(1, d + 1))
     directions = []
-    for chain in symmetric_chain_decomposition(d):
-        supports = [frozenset(i + 1 for i, b in enumerate(v) if b) for v in chain]
+    for chain in symmetric_chain_masks(d):
+        supports = [frozenset(mask_members(m)) for m in chain]
         if n % 2 == 0:
-            w = chain_illuminator([ExtremePoint(1, s, d) for s in supports if s])
+            w = flag_direction([s for s in supports if s], d)
             directions += [w, -w]
         elif len(supports) == 1:
-            s = supports[0]
-            directions.append(
-                pair_illuminator(ExtremePoint(1, s, d), ExtremePoint(-1, full - s, d))
-            )
+            directions.append(pair_direction(supports[0], d))
         else:
-            directions.append(chain_illuminator([ExtremePoint(1, s, d) for s in supports if s]))
-            directions.append(
-                chain_illuminator([ExtremePoint(-1, full - s, d) for s in supports if full - s])
-            )
+            directions.append(flag_direction([s for s in supports if s], d))
+            directions.append(-flag_direction([full - s for s in supports[::-1] if full - s], d))
     return directions
+
+
+def brute_force_width(masks):
+    """Oracle: the size of the largest pairwise non-nested subfamily."""
+    for size in range(len(masks), 0, -1):
+        for family in combinations(masks, size):
+            if all(a & b not in (a, b) for a, b in combinations(family, 2)):
+                return size
+    return 0
+
+
+def cover_directions(chains, n):
+    """One direction of dimension n - 1 per chain: the n-coordinate flag
+    vector with its last coordinate subtracted, so that (w, 0) sorts like
+    the flag."""
+    flags = illumination._flag_directions(chains, n)
+    return flags[:, :-1] - flags[:, -1:]
 
 
 # rows mixing small integers (ties and zeros) with arbitrary floats
@@ -260,24 +297,28 @@ def test_optimal_set_raises_when_a_support_goes_unilluminated(monkeypatch):
     with pytest.raises(RuntimeError):
         optimal_illuminating_set(6)
 
+    def drop_last_point(block):
+        # every copy of mask 2^n - 2, the point -1_{1}: the last entry the
+        # coverage check reads; a second direction may light any other mask
+        masks = kernel(block).copy()
+        masks[masks == (2 << block.shape[1]) - 2] = 0
+        return masks
 
-def test_illuminators_raise_when_the_closed_form_check_fails(monkeypatch):
-    monkeypatch.setattr(illumination, "illuminates", lambda w, z: False)
-    with pytest.raises(RuntimeError):
-        chain_illuminator([ep(1, {1}, 2), ep(1, {1, 2}, 2)])
-    with pytest.raises(RuntimeError):
-        pair_illuminator(ep(1, {1}, 2), ep(-1, {2}, 2))
+    monkeypatch.setattr(illumination, "_witnessed", drop_last_point)
+    for build in (optimal_illuminating_set, illumination_number_exact):
+        with pytest.raises(RuntimeError):
+            build(6)
 
 
 def test_size_limits_raise_too_large_before_building():
-    assert (MAX_ILLUMINATION_N, MAX_CHAIN_D, MAX_CERTIFICATE_N, MAX_EXACT_N) == (20, 20, 9, 6)
+    assert (MAX_ILLUMINATION_N, MAX_CHAIN_D, MAX_CERTIFICATE_N, MAX_EXACT_N) == (20, 20, 9, 12)
     assert issubclass(TooLargeError, ValueError)
     with pytest.raises(TooLargeError):
         optimal_illuminating_set(MAX_ILLUMINATION_N + 1)
     with pytest.raises(TooLargeError):
         verify_illumination([], MAX_ILLUMINATION_N + 1)
     with pytest.raises(TooLargeError):
-        symmetric_chain_decomposition(MAX_CHAIN_D + 1)
+        symmetric_chain_masks(MAX_CHAIN_D + 1)
     with pytest.raises(TooLargeError):
         lower_bound_certificate(MAX_CERTIFICATE_N + 1)
     with pytest.raises(TooLargeError):
@@ -285,19 +326,6 @@ def test_size_limits_raise_too_large_before_building():
     # the scheduled sampler builds the same chains, over n indices
     with pytest.raises(TooLargeError):
         chain_schedule(MAX_CHAIN_D + 1, 1.1)
-
-
-def test_chain_illuminator_over_the_size_limit_is_too_large():
-    # a flag direction of dimension MAX_ILLUMINATION_N - 1 is the largest
-    # optimal_illuminating_set builds; past 62 coordinates the bit masks
-    # would no longer fit in int64
-    d = 70
-    chain = [ep(1, set(range(1, k + 1)), d) for k in (1, 35, d)]
-    with pytest.raises(TooLargeError):
-        chain_illuminator(chain)
-    top = MAX_ILLUMINATION_N - 1
-    w = chain_illuminator([ep(1, set(range(1, top + 1)), top)])
-    assert illuminates(w, ep(1, set(range(1, top + 1)), top))
 
 
 def test_illuminated_supports_are_nested_chains():
@@ -316,15 +344,18 @@ def test_illuminated_supports_are_nested_chains():
 
 
 def test_chain_illuminator_examples():
-    w = chain_illuminator([ep(1, {1}, 2), ep(1, {1, 2}, 2)])
-    np.testing.assert_array_equal(w, [-2.0, -1.0])
-    w_neg = chain_illuminator([ep(-1, {1}, 2), ep(-1, {1, 2}, 2)])
+    # the library's chain illuminator is `_flag_directions`, one row per chain
+    got = illumination._flag_directions([[0b01, 0b11], [0b1111]], 4)
+    np.testing.assert_array_equal(got[0], [-4.0, -3.0, -2.0, -1.0])
+    w_neg = -illumination._flag_directions([[0b01, 0b11]], 2)[0]
     np.testing.assert_array_equal(w_neg, [2.0, 1.0])
+    assert illuminates(w_neg, ep(-1, {1}, 2)) and illuminates(w_neg, ep(-1, {1, 2}, 2))
     # singleton full-support chain: strictly negative strictly increasing values
     top = ep(1, {1, 2, 3, 4}, 4)
-    w_top = chain_illuminator([top])
-    assert np.all(w_top < 0) and np.all(np.diff(w_top) > 0)
-    assert illuminates(w_top, top)
+    assert np.all(got[1] < 0) and np.all(np.diff(got[1]) > 0)
+    assert illuminates(got[1], top)
+    for chain, w in zip([[0b01, 0b11], [0b1111]], got):
+        np.testing.assert_array_equal(w, flag_direction([set(mask_members(m)) for m in chain], 4))
 
 
 def test_chain_illuminator_illuminates_random_chains():
@@ -336,36 +367,20 @@ def test_chain_illuminator_illuminates_random_chains():
         perm = rng.permutation(d) + 1
         cuts = sorted(set(rng.integers(1, d + 1, size=rng.integers(1, d + 1)).tolist()))
         chain = [ep(sign, set(perm[:c].tolist()), d) for c in cuts]
-        w = chain_illuminator(chain)
+        w = sign * illumination._flag_directions([[z.mask for z in chain]], d)[0]
         assert all(illuminates(w, z) for z in chain)
 
 
-def test_chain_illuminator_rejects_non_chains():
-    with pytest.raises(ValueError):
-        chain_illuminator([ep(1, {1}, 2), ep(1, {2}, 2)])
-    with pytest.raises(ValueError):
-        chain_illuminator([ep(1, {1}, 2), ep(-1, {1, 2}, 2)])
-    with pytest.raises(ValueError):
-        chain_illuminator([])
-    with pytest.raises(ValueError):
-        chain_illuminator([ep(1, {1}, 2), ep(1, {1}, 2)])
-
-
 def test_pair_illuminator_examples():
-    w = pair_illuminator(ep(1, {1, 2}, 4), ep(-1, {3, 4}, 4))
+    w = pair_direction({1, 2}, 4)
     np.testing.assert_array_equal(w, [-1.0, -1.0, 1.0, 1.0])
     assert illuminates(w, ep(1, {1, 2}, 4)) and illuminates(w, ep(-1, {3, 4}, 4))
 
-    w2 = pair_illuminator(ep(1, {1}, 2), ep(-1, {2}, 2))
+    w2 = pair_direction({1}, 2)
     np.testing.assert_array_equal(w2, [-1.0, 1.0])
     assert illuminates(w2, ep(1, {1}, 2)) and illuminates(w2, ep(-1, {2}, 2))
-
-
-def test_pair_illuminator_rejects_non_complement():
-    with pytest.raises(ValueError):
-        pair_illuminator(ep(1, {1}, 3), ep(-1, {2}, 3))
-    with pytest.raises(ValueError):
-        pair_illuminator(ep(-1, {1}, 2), ep(1, {2}, 2))
+    # the odd-n optimal set holds one such direction per middle-weight support
+    assert any(np.array_equal(w, pair_direction({2}, 2)) for w in optimal_illuminating_set(3))
 
 
 # ---------------------------------------------------------------------------
@@ -374,21 +389,24 @@ def test_pair_illuminator_rejects_non_complement():
 
 
 def test_scd_small_cases_exact():
-    assert symmetric_chain_decomposition(1) == [[(0,), (1,)]]
-    assert symmetric_chain_decomposition(2) == [[(0, 0), (1, 0), (1, 1)], [(0, 1)]]
-    d3 = symmetric_chain_decomposition(3)
+    assert [decoded(c, 1) for c in symmetric_chain_masks(1)] == [[(0,), (1,)]]
+    assert [decoded(c, 2) for c in symmetric_chain_masks(2)] == [
+        [(0, 0), (1, 0), (1, 1)],
+        [(0, 1)],
+    ]
+    d3 = symmetric_chain_masks(3)
     assert len(d3) == 3
     assert sum(len(c) for c in d3) == 8
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_scd_properties(d):
-    assert_symmetric_decomposition(symmetric_chain_decomposition(d), d)
+    assert_symmetric_decomposition([decoded(c, d) for c in symmetric_chain_masks(d)], d)
 
 
 def test_scd_rejects_nonpositive():
     with pytest.raises(ValueError):
-        symmetric_chain_decomposition(0)
+        symmetric_chain_masks(0)
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +491,16 @@ def test_verify_illumination_reports_the_first_bad_direction(n, directions, mess
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_pattern_depends_only_on_class(n):
     d = n - 1
-    for perm in permutations(range(d)):
-        for negatives in range(d + 1):
-            base = canonical_class_representative(perm, negatives)
-            # second representative: same order and sign pattern, other values
-            other = np.empty(d)
-            for rank, coord in enumerate(perm):
-                other[coord] = (rank + 1 - negatives) * 1.75 - 0.875
-            assert pattern_by_predicate(base, n) == pattern_by_predicate(other, n)
+    block = illumination._class_block(d)
+    # one row per class: each (coordinate order, negative count) exactly once
+    classes = {(tuple(np.argsort(w)), int((w < 0).sum())) for w in block}
+    assert len(classes) == len(block) == factorial(d) * n
+    for base in block:
+        negatives = int((base < 0).sum())
+        ranks = np.argsort(np.argsort(base))
+        # second representative: same order and sign pattern, other values
+        other = (ranks + 1 - negatives) * 1.75 - 0.875
+        assert pattern_by_predicate(base, n) == pattern_by_predicate(other, n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -509,58 +529,71 @@ def test_illumination_number_exact_matches_binomial(n):
     assert illumination_number_exact(n) == comb(n, (n + 1) // 2)
 
 
-def brute_force_min_cover(universe, patterns):
-    from itertools import combinations as combos
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 63), unique=True, max_size=10))
+@example([])
+@example([0])
+@example([0b11, 0, 0b01, 0b10])
+def test_chain_cover_is_minimum_and_certified_by_an_antichain(masks):
+    chains, antichain = illumination._chain_cover(masks)
+    assert sorted(m for chain in chains for m in chain) == sorted(masks)
+    for chain in chains:
+        for small, big in zip(chain, chain[1:]):
+            assert small != big and small & big == small
+    assert set(antichain) <= set(masks)
+    assert all(a & b not in (a, b) for a, b in combinations(antichain, 2))
+    assert len(antichain) == len(chains) == brute_force_width(masks)
 
-    for size in range(len(patterns) + 1):
-        for chosen in combos(patterns, size):
-            mask = 0
-            for p in chosen:
-                mask |= p
-            if mask == universe:
-                return size
-    return None
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_chain_cover_witnesses_agree_with_the_closed_form(n):
+    # checked independently of the library's kernel: no canonical class
+    # lights two antichain members under the scalar closed form, and the
+    # per-threshold reference loop accepts the cover's directions
+    chains, antichain = illumination._chain_cover(range(1, (1 << n) - 1))
+    points = {subset_to_extreme_point(mask_members(m), n) for m in antichain}
+    lit_together = max(
+        len({(z.sign, z.support) for z in points} & pattern_by_predicate(w, n))
+        for w in illumination._class_block(n - 1)
+    )
+    assert lit_together == 1
+    count, covered, missing = reference_verify(cover_directions(chains, n), n)
+    assert covered and not missing
+    assert count == len(points) == comb(n, (n + 1) // 2)
 
 
-def test_minimum_cover_search_on_synthetic_instances():
-    from conelight.illumination import _minimum_cover
+def test_illumination_number_exact_raises_when_the_antichain_fails(monkeypatch):
+    engine = illumination._chain_cover
+    spoilers = [
+        lambda a: a[:-1],  # smaller than the cover
+        lambda a: a[:-1] + [a[0] & (a[0] - 1)],  # a strict subset of a member
+    ]
+    for spoil in spoilers:
 
-    # triangle instance: greedy disjoint bound stalls at 1, true minimum is 2,
-    # so the branch-and-bound search itself is exercised
-    assert _minimum_cover(0b111, [0b011, 0b110, 0b101], upper=3) == 2
+        def spoiled(masks, spoil=spoil):
+            chains, antichain = engine(masks)
+            return chains, spoil(antichain)
 
-    rng = np.random.default_rng(123)
-    for _ in range(25):
-        nelem = int(rng.integers(3, 9))
-        universe = (1 << nelem) - 1
-        patterns = [int(rng.integers(1, universe + 1)) for _ in range(int(rng.integers(3, 9)))]
-        union = 0
-        for p in patterns:
-            union |= p
-        for e in range(nelem):  # guarantee coverability
-            if not (union >> e) & 1:
-                patterns.append(1 << e)
-        expected = brute_force_min_cover(universe, patterns)
-        assert _minimum_cover(universe, patterns, upper=len(patterns)) == expected
+        monkeypatch.setattr(illumination, "_chain_cover", spoiled)
+        with pytest.raises(RuntimeError):
+            illumination_number_exact(6)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_class_patterns_have_n_minus_1_bits(n):
     # a class with k negative coordinates illuminates k positive and
-    # n - 1 - k negative supports, so no pattern can contain another and a
-    # minimum cover needs no dominance pruning
-    from conelight.illumination import _all_class_patterns
-
-    patterns = _all_class_patterns(n)
-    assert patterns
-    assert all(p.bit_count() == n - 1 for p in patterns)
+    # n - 1 - k negative supports: a maximal chain of n - 1 subsets, as a
+    # flag direction of the chain cover does
+    masks = illumination._witnessed(illumination._class_block(n - 1))
+    assert len(masks)
+    assert ((masks != 0).sum(axis=1) == n - 1).all()
 
 
 def test_illumination_number_exact_rejects_out_of_range():
     with pytest.raises(ValueError):
         illumination_number_exact(1)
     with pytest.raises(ValueError):
-        illumination_number_exact(7)
+        illumination_number_exact(MAX_EXACT_N + 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
