@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -234,12 +235,20 @@ def dispatch(argv) -> int:
         return EXIT_BAD_INPUT
     except illumination.TooLargeError as exc:
         return _fail("too_large", str(exc))
+    except BrokenPipeError:
+        raise  # an error document cannot reach a closed stdout either
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail("invalid_input", str(exc))
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; keep the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BAD_INPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import as_positive_vector, mask_members, witnessed_masks
-from .illumination import chain_depths, symmetric_chain_masks
+from .illumination import proper_chain_depths
 from .maps import DYNAMIC_RANGE_CAP, ConeMap, evaluate, evaluate_batch, verify_cone_map
 
 SAMPLER_MODES = ("unit-box", "log-uniform", "scheduled")
@@ -174,7 +174,7 @@ class SamplerConfig:
     Modes: "unit-box" fixes x_1 = 1 and draws the other coordinates
     uniformly from (0, 1); "log-uniform" fixes x_1 = 1 and draws
     log-coordinates uniformly from (-radius, radius); "scheduled" consumes
-    `points` if given, else the chain schedule for `beta`.
+    the chain schedule for `beta`.
     """
 
     mode: str = "log-uniform"
@@ -183,7 +183,6 @@ class SamplerConfig:
     seed: int = 0
     max_iterations: int = 10000
     history_cap: int = 1000
-    points: Optional[tuple[tuple[float, ...], ...]] = None
 
     def __post_init__(self):
         if self.mode not in SAMPLER_MODES:
@@ -205,12 +204,6 @@ class SamplerConfig:
             raise ValueError("history_cap must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.points is not None:
-            object.__setattr__(
-                self,
-                "points",
-                tuple(tuple(float(v) for v in p) for p in self.points),
-            )
 
 
 @dataclass(frozen=True)
@@ -282,11 +275,12 @@ def chain_schedule(n: int, beta: float) -> np.ndarray:
     Each chain of nonempty proper subsets J_1 < ... < J_k (endpoints of the
     subset lattice removed) yields the point with coordinates beta**level,
     where the level of an index is the number of chain subsets holding it
-    (`chain_depths`): k in J_1, each successive difference one level
+    (`proper_chain_depths`): k in J_1, each successive difference one level
     lower, 0 on the complement; the point is rescaled so x_1 = 1, which
     leaves its ratio vector unchanged.  With beta large the sorted ratios
     gap exactly at the level boundaries, so the sample records its whole
-    chain.
+    chain.  Row k is exactly beta**-(w, 0) rescaled, w the k-th direction
+    of `optimal_illuminating_set(n)`.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -296,9 +290,7 @@ def chain_schedule(n: int, beta: float) -> np.ndarray:
         raise ValueError(
             f"beta**{n - 1} exceeds the dynamic range cap {DYNAMIC_RANGE_CAP:g}"
         )
-    full = (1 << n) - 1
-    proper_chains = [[J for J in chain if 0 < J < full] for chain in symmetric_chain_masks(n)]
-    x = beta ** chain_depths(proper_chains, n).astype(float)
+    x = beta ** proper_chain_depths(n).astype(float)
     return x / x[:, :1]
 
 
@@ -317,10 +309,10 @@ def estimate_eigenvector(
     """Best-effort eigenvector search by iterating the normalized map.
 
     The iteration is only nonexpansive, so there is no convergence
-    guarantee; a non-converged result is a status, not an error.  On
-    success the eigenvalue is reported as the common ratio f(v)_j / v_j
-    (geometric mean; the max/min log-spread is the residual and is at most
-    `tol`).
+    guarantee; a non-converged result is a status, not an error, and so is
+    an iterate that under- or overflows.  On success the eigenvalue is
+    reported as the common ratio f(v)_j / v_j (geometric mean; the max/min
+    log-spread is the residual and is at most `tol`).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -334,7 +326,10 @@ def estimate_eigenvector(
         residual = float(np.log(ratios.max()) - np.log(ratios.min()))
         if residual <= tol or iterations >= max_iter:
             break
-        x = y / y[-1]
+        nxt = y / y[-1]
+        if not np.all((nxt > 0.0) & np.isfinite(nxt)):
+            break
+        x = nxt
         y = evaluate(f, x)
         iterations += 1
     return EigenEstimate(
@@ -372,11 +367,11 @@ def run(f: ConeMap, cfg: SamplerConfig) -> DetectionReport:
     halted = ledger.is_complete()  # n == 1 has nothing to record
     if not halted:
         if cfg.mode == "scheduled":
-            raw = cfg.points if cfg.points is not None else chain_schedule(n, cfg.beta)
-            budget = min(len(raw), cfg.max_iterations)
+            schedule = chain_schedule(n, cfg.beta)
+            budget = min(len(schedule), cfg.max_iterations)
 
             def block(start: int, stop: int) -> np.ndarray:
-                return np.asarray(raw[start:stop], dtype=float)
+                return schedule[start:stop]
 
         else:
             rng = np.random.default_rng(cfg.seed)

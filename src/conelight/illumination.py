@@ -21,13 +21,17 @@ log-ratio vector (w, 0) witnesses J for the eigenvector detector.  So
 +1_I is lit iff I is a strict prefix that avoids n, and -1_I iff the
 complement of I in {1, ..., n} is a strict prefix that holds n.  This module reads the
 supports through the detector's kernel `witnessed_masks`, as n-bit subset
-masks (bit i - 1 for index i, bit n - 1 for index n).  It exploits the
-resulting chain structure to build an illuminating set of the optimal
-size C(n, ceil(n/2)) from a symmetric chain decomposition of the subset
-lattice, to compute the illumination number exactly as the least number
-of chains covering the proper subsets of {1, ..., n} (a maximum matching
-that certifies itself with an antichain of the same size), and to emit
-antichain certificates witnessing the matching lower bound.
+masks (bit i - 1 for index i, bit n - 1 for index n).  One rule turns a
+strictly nested chain of proper subsets of {1, ..., n} into a direction:
+with depth_j the number of chain members holding index j, w_j = depth_n -
+depth_j sorts (w, 0) by decreasing depth, so w lights exactly the chain
+(`_chain_directions`).  The C(n, ceil(n/2)) symmetric chains of
+{1, ..., n} partition the proper subsets, so one direction per chain is an
+illuminating set of the optimal size that lights every extreme point
+exactly once.  The least number of chains covering the proper subsets is
+the exact illumination number (a maximum matching that certifies itself
+with an antichain of the same size), and antichain certificates witness
+the matching lower bound.
 """
 
 from __future__ import annotations
@@ -152,12 +156,16 @@ def _witnessed(block: np.ndarray) -> np.ndarray:
     return witnessed_masks(np.hstack([block, np.zeros((len(block), 1))]))
 
 
-def _coverage(block: np.ndarray, d: int) -> np.ndarray:
-    """Flags, indexed by n-bit subset mask, of the extreme points the
-    directions illuminate; entries 0 and 2^n - 1 stand for no point."""
-    covered = np.zeros(2 << d, dtype=bool)
-    covered[_witnessed(block)] = True
-    return covered
+def _lit_counts(block: np.ndarray, d: int) -> np.ndarray:
+    """How many of the directions illuminate each extreme point, indexed by
+    n-bit subset mask; entries 0 and 2^n - 1 stand for no point."""
+    return np.bincount(_witnessed(block).ravel(), minlength=2 << d)
+
+
+def _check_lit_once(directions: np.ndarray, n: int, built: str) -> None:
+    """Raise unless the directions light each extreme point exactly once."""
+    if not (_lit_counts(directions, n - 1)[1:-1] == 1).all():
+        raise RuntimeError(f"{built} for n = {n} do not light every extreme point exactly once")
 
 
 def illuminated_supports(w) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
@@ -189,14 +197,11 @@ def chain_depths(chains: Sequence[Sequence[int]], d: int) -> np.ndarray:
     return depth
 
 
-def _flag_directions(chains: Sequence[Sequence[int]], d: int) -> np.ndarray:
-    """Row k assigns -d, ..., -1 along a flag of {1, ..., d} extending the
-    strictly nested masks chains[k] (smallest first): the smallest mask's
-    members ascending, then each successive difference, then the rest."""
-    order = np.argsort(np.arange(d) - chain_depths(chains, d) * d, axis=1)
-    directions = np.empty((len(chains), d))
-    directions[np.arange(len(chains))[:, np.newaxis], order] = np.arange(-d, 0)
-    return directions
+def _chain_directions(depth: np.ndarray) -> np.ndarray:
+    """Row k lights exactly the chain whose `chain_depths` row is depth[k]:
+    w_j = depth_n - depth_j, so (w, 0) sorts by decreasing depth and its
+    strict prefixes are the chain's members."""
+    return (depth[:, -1:] - depth[:, :-1]).astype(float)
 
 
 def symmetric_chain_masks(d: int) -> list[list[int]]:
@@ -231,42 +236,27 @@ def symmetric_chain_masks(d: int) -> list[list[int]]:
     return chains
 
 
+def proper_chain_depths(n: int) -> np.ndarray:
+    """`chain_depths` of the C(n, ceil(n/2)) chains of `symmetric_chain_masks(n)`
+    with the empty and the full set removed, which partition the nonempty
+    proper subsets of {1, ..., n}."""
+    full = (1 << n) - 1
+    return chain_depths([[m for m in c if 0 < m < full] for c in symmetric_chain_masks(n)], n)
+
+
 def optimal_illuminating_set(n: int) -> list[np.ndarray]:
     """Directions of minimal count C(n, ceil(n/2)) illuminating the whole ball.
 
-    Strip the empty set from a symmetric chain decomposition of the subset
-    lattice on {1, ..., n-1} to get a chain partition of the positive
-    extreme points.  For even n each chain receives one chain illuminator
-    and the mirrored (negated) directions handle the negative side.  For
-    odd n the decomposition has singleton chains exactly at weight
-    (n-1)/2: those are paired with their negative complements through one
-    pair illuminator each, while every longer chain gets chain
-    illuminators on both the positive side and its complement-image
-    negative side.  The whole set is checked against every extreme point.
+    One `_chain_directions` row per chain of `proper_chain_depths(n)`: each
+    lights exactly its chain, so the set lights every extreme point exactly
+    once, which is checked before the set is returned.
     """
     _check_size("n", n, MAX_ILLUMINATION_N)
     if n < 2:
         raise ValueError("n must be at least 2")
-    d = n - 1
-    full = (1 << d) - 1
-    chains = symmetric_chain_masks(d)
-    # for even n every chain is long: bottom size + top size = d is odd
-    long = [c for c in chains if len(c) > 1]
-    flags = _flag_directions([[m for m in c if m] for c in long], d)
-    if n % 2 == 0:
-        mirrored = -flags
-    else:
-        mirrored = -_flag_directions([[full ^ m for m in c[::-1] if m != full] for c in long], d)
-    plus, minus = iter(flags), iter(mirrored)
-    directions: list[np.ndarray] = []
-    for chain in chains:
-        if len(chain) == 1:  # the pair illuminator: -1 on the support, +1 off it
-            directions.append(1.0 - 2.0 * _bit_matrix(chain, d)[0])
-        else:
-            directions += [next(plus), next(minus)]
-    if not _coverage(np.array(directions), d)[1:-1].all():
-        raise RuntimeError(f"the directions built for n = {n} miss an extreme point")
-    return directions
+    directions = _chain_directions(proper_chain_depths(n))
+    _check_lit_once(directions, n, "the directions built")
+    return list(directions)
 
 
 @dataclass(frozen=True)
@@ -300,7 +290,7 @@ def verify_illumination(directions: Sequence, n: int) -> IlluminationReport:
         raise ValueError("n must be at least 2")
     d = n - 1
     block = _direction_block(directions, d)
-    masks = np.flatnonzero(~_coverage(block, d)[1:-1]) + 1
+    masks = np.flatnonzero(_lit_counts(block, d)[1:-1] == 0) + 1
     split = np.searchsorted(masks, 1 << d)
     missing = tuple(
         ExtremePoint(sign, members, d)
@@ -315,7 +305,7 @@ def verify_illumination(directions: Sequence, n: int) -> IlluminationReport:
 # ---------------------------------------------------------------------------
 #
 # A direction lights exactly the subsets that are strict prefixes of the
-# sorted (w, 0), a chain, and `_flag_directions` lights any chain of proper
+# sorted (w, 0), a chain, and `_chain_directions` lights any chain of proper
 # subsets with one direction.  So the illumination number is the least
 # number of chains covering the 2^n - 2 proper subsets of {1, ..., n}, which
 # by Dilworth's theorem is the largest antichain among them.
@@ -409,19 +399,18 @@ def illumination_number_exact(n: int) -> int:
     """Minimum number of directions illuminating all extreme points.
 
     Runs `_chain_cover` on the 2^n - 2 proper subsets of {1, ..., n} and
-    checks both of its witnesses before answering: the chains, one flag
-    direction each, must illuminate every extreme point, and the antichain,
-    of which one direction lights at most one member, must be pairwise
-    non-nested and as large as the cover.  Supported for 2 <= n <=
-    MAX_EXACT_N; the graph has about 3^n inclusion pairs.
+    checks both of its witnesses before answering: the chains, one
+    `_chain_directions` row each, must light every extreme point exactly
+    once, and the antichain, of which one direction lights at most one
+    member, must be pairwise non-nested and as large as the cover.
+    Supported for 2 <= n <= MAX_EXACT_N; the graph has about 3^n inclusion
+    pairs.
     """
     _check_size("n", n, MAX_EXACT_N)
     if n < 2:
         raise ValueError("n must be at least 2")
     chains, antichain = _chain_cover(range(1, (1 << n) - 1))
-    flags = _flag_directions(chains, n)
-    if not _coverage(flags[:, :-1] - flags[:, -1:], n - 1)[1:-1].all():
-        raise RuntimeError(f"the chain cover for n = {n} misses an extreme point")
+    _check_lit_once(_chain_directions(chain_depths(chains, n)), n, "the chain cover's directions")
     members = np.array(antichain, dtype=np.int64)[:, np.newaxis]
     nested = np.count_nonzero((members & members.T) == members)  # the diagonal at least
     if len(antichain) != len(chains) or nested != len(antichain):

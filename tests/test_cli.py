@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -215,6 +216,18 @@ def test_eigen_non_convergence_is_status_not_failure(capsys, shear2_file):
     assert doc["converged"] is False
 
 
+def test_eigen_stops_unconverged_when_a_coordinate_underflows(capsys, tmp_path):
+    # the normalized iterates of diag(1, 2, 3) are (3^-k, (2/3)^k, 1): the
+    # first coordinate reaches 0.0 after about 680 steps
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"type": "matrix", "data": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}))
+    code, doc = run_cli(capsys, ["eigen", "--map", str(path)])
+    assert code == 0
+    assert doc["converged"] is False
+    assert 0 < doc["iterations"] < 1000
+    assert all(v > 0.0 for v in doc["eigenvector"])
+
+
 def test_eigen_bad_x0_is_exit_1(capsys, matrix_file):
     code, doc = run_cli(capsys, ["eigen", "--map", matrix_file, "--x0", "1,zap"])
     assert code == 1
@@ -236,3 +249,21 @@ def test_module_entry_point_smoke():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["count"] == 2
+
+
+@pytest.mark.parametrize("n", ["3", "14"])
+def test_closed_stdout_is_exit_1_without_a_traceback(n):
+    # n = 3 fails at the final flush, n = 14 in the middle of the document
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "conelight", "illuminate-optimal", "-n", n],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr

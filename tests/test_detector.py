@@ -292,13 +292,6 @@ def test_run_scheduled_mode_exact_sample_count():
         assert report.samples_used == comb(n, (n + 1) // 2)
 
 
-def test_run_scheduled_mode_accepts_explicit_points():
-    m = MatrixMap([[2, 1], [1, 2]])
-    cfg = SamplerConfig(mode="scheduled", points=((1.0, 0.25), (1.0, 4.0)))
-    report = run(m, cfg)
-    assert report.halted and report.samples_used == 2
-
-
 def test_run_is_deterministic():
     m = MatrixMap([[3, 1, 0.5], [1, 2, 1], [0.2, 1, 4]])
     cfg = SamplerConfig(mode="log-uniform", seed=21, max_iterations=5000)
@@ -380,7 +373,7 @@ def test_chain_bound_is_checked_explicitly(monkeypatch):
     monkeypatch.setattr(SubsetLedger, "is_complete", lambda self: self.samples_seen > 0)
     m = MatrixMap([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
     with pytest.raises(RuntimeError, match="chain bound"):
-        run(m, SamplerConfig(mode="scheduled", points=((1.0, 2.0, 3.0),)))
+        run(m, SamplerConfig(mode="scheduled", max_iterations=1))
 
 
 def test_report_invariant_halted_means_complete():
@@ -458,14 +451,14 @@ def reference_run(f, cfg):
         return 0, set(), []
     rng = np.random.default_rng(cfg.seed)
     if cfg.mode == "scheduled":
-        points = cfg.points if cfg.points is not None else chain_schedule(n, cfg.beta)
+        points = chain_schedule(n, cfg.beta)
         budget = min(len(points), cfg.max_iterations)
     else:
         budget = cfg.max_iterations
     recorded, history, samples = set(), [], 0
     while len(recorded) < total and samples < budget:
         if cfg.mode == "scheduled":
-            x = np.asarray(points[samples], dtype=float)
+            x = points[samples]
         else:
             x = np.ones(n)
             if cfg.mode == "unit-box":

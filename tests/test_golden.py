@@ -46,7 +46,7 @@ def _cases() -> dict[str, list[str]]:
                     *flags,
                 ]
     cases["illuminate-optimal-n6"] = ["illuminate-optimal", "-n", "6"]
-    # odd n: pair illuminators for the singleton chains
+    # odd n: the two middle levels tie for the largest antichain
     cases["illuminate-optimal-n7"] = ["illuminate-optimal", "-n", "7"]
     # a partial direction set with ties and zero coordinates, so the order
     # of the unilluminated points is pinned

@@ -69,26 +69,17 @@ def reference_verify(directions, n):
     return len(directions), not missing, missing
 
 
-def flag_direction(supports, d):
-    """The chain illuminator: -d, ..., -1 in the order of a flag of
-    {1, ..., d} through the strictly nested `supports` (smallest first),
-    each new index block ascending.  For the k-th support the closed form
-    reads max over it < min(0, min over the rest), which holds by
-    construction."""
-    order, seen = [], frozenset()
-    for s in [*supports, frozenset(range(1, d + 1))]:
-        order += sorted(s - seen)
-        seen = s
-    w = np.empty(d)
-    w[np.array(order) - 1] = np.arange(-d, 0)
-    return w
-
-
-def pair_direction(support, d):
-    """-1 on `support` and +1 off it: illuminates +1_support and -1_complement."""
-    w = np.ones(d)
-    w[[i - 1 for i in support]] = -1.0
-    return w
+def level_direction(chain, n):
+    """The direction of dimension n - 1 that lights a strictly nested chain
+    of proper subsets of {1, ..., n} (bitmasks, smallest first): index j
+    sits at the level of the number of chain members holding it, and
+    w_j = level_n - level_j, so (w, 0) sorts by decreasing level and its
+    strict prefixes are the chain's members."""
+    level = [0] * n
+    for mask in chain:
+        for j in mask_members(mask):
+            level[j - 1] += 1
+    return np.array([level[-1] - level[j] for j in range(n - 1)], dtype=float)
 
 
 def decoded(chain, d):
@@ -97,21 +88,10 @@ def decoded(chain, d):
 
 
 def reference_optimal_set(n):
-    """The optimal set composed from test-local illuminators, chain by chain."""
-    d = n - 1
-    full = frozenset(range(1, d + 1))
-    directions = []
-    for chain in symmetric_chain_masks(d):
-        supports = [frozenset(mask_members(m)) for m in chain]
-        if n % 2 == 0:
-            w = flag_direction([s for s in supports if s], d)
-            directions += [w, -w]
-        elif len(supports) == 1:
-            directions.append(pair_direction(supports[0], d))
-        else:
-            directions.append(flag_direction([s for s in supports if s], d))
-            directions.append(-flag_direction([full - s for s in supports[::-1] if full - s], d))
-    return directions
+    """The optimal set composed chain by chain: one level direction per
+    symmetric chain of {1, ..., n}, its empty and full sets removed."""
+    full = (1 << n) - 1
+    return [level_direction([m for m in c if 0 < m < full], n) for c in symmetric_chain_masks(n)]
 
 
 def brute_force_width(masks):
@@ -124,11 +104,8 @@ def brute_force_width(masks):
 
 
 def cover_directions(chains, n):
-    """One direction of dimension n - 1 per chain: the n-coordinate flag
-    vector with its last coordinate subtracted, so that (w, 0) sorts like
-    the flag."""
-    flags = illumination._flag_directions(chains, n)
-    return flags[:, :-1] - flags[:, -1:]
+    """One level direction of dimension n - 1 per chain."""
+    return [level_direction(chain, n) for chain in chains]
 
 
 # rows mixing small integers (ties and zeros) with arbitrary floats
@@ -310,6 +287,21 @@ def test_optimal_set_raises_when_a_support_goes_unilluminated(monkeypatch):
             build(6)
 
 
+def test_builders_raise_when_a_point_is_lit_twice(monkeypatch):
+    # the check demands each point exactly once, not at least once: nothing
+    # is dropped here, the first direction's points are lit a second time
+    kernel = illumination._witnessed
+
+    def repeat_first_direction(block):
+        masks = kernel(block)
+        return np.vstack([masks, masks[:1]])
+
+    monkeypatch.setattr(illumination, "_witnessed", repeat_first_direction)
+    for build in (optimal_illuminating_set, illumination_number_exact):
+        with pytest.raises(RuntimeError, match="exactly once"):
+            build(6)
+
+
 def test_size_limits_raise_too_large_before_building():
     assert (MAX_ILLUMINATION_N, MAX_CHAIN_D, MAX_CERTIFICATE_N, MAX_EXACT_N) == (20, 20, 9, 12)
     assert issubclass(TooLargeError, ValueError)
@@ -339,48 +331,65 @@ def test_illuminated_supports_are_nested_chains():
 
 
 # ---------------------------------------------------------------------------
-# Chain and pair illuminators
+# The chain illuminator
 # ---------------------------------------------------------------------------
 
 
+def chain_points(chain, n):
+    """The extreme points of a chain of proper subsets of {1, ..., n}, as
+    (sign, support) pairs."""
+    return {
+        (z.sign, z.support) for z in (subset_to_extreme_point(mask_members(m), n) for m in chain)
+    }
+
+
 def test_chain_illuminator_examples():
-    # the library's chain illuminator is `_flag_directions`, one row per chain
-    got = illumination._flag_directions([[0b01, 0b11], [0b1111]], 4)
-    np.testing.assert_array_equal(got[0], [-4.0, -3.0, -2.0, -1.0])
-    w_neg = -illumination._flag_directions([[0b01, 0b11]], 2)[0]
-    np.testing.assert_array_equal(w_neg, [2.0, 1.0])
-    assert illuminates(w_neg, ep(-1, {1}, 2)) and illuminates(w_neg, ep(-1, {1, 2}, 2))
-    # singleton full-support chain: strictly negative strictly increasing values
-    top = ep(1, {1, 2, 3, 4}, 4)
-    assert np.all(got[1] < 0) and np.all(np.diff(got[1]) > 0)
-    assert illuminates(got[1], top)
-    for chain, w in zip([[0b01, 0b11], [0b1111]], got):
-        np.testing.assert_array_equal(w, flag_direction([set(mask_members(m)) for m in chain], 4))
+    # the library's chain illuminator is `_chain_directions` of the chain depths
+    chains = [[0b001, 0b011], [0b100], [0b101]]
+    got = illumination._chain_directions(illumination.chain_depths(chains, 3))
+    np.testing.assert_array_equal(got, [[-2.0, -1.0], [1.0, 1.0], [0.0, 1.0]])
+    assert illuminates(got[0], ep(1, {1}, 2)) and illuminates(got[0], ep(1, {1, 2}, 2))
+    assert illuminates(got[1], ep(-1, {1, 2}, 2))
+    # a zero coordinate ties index 1 with index n: the prefix {1, 3} is -1_{2}
+    assert illuminates(got[2], ep(-1, {2}, 2))
+    for chain, w in zip(chains, got):
+        np.testing.assert_array_equal(w, level_direction(chain, 3))
+        assert pattern_by_predicate(w, 3) == chain_points(chain, 3)
+    # singleton full-support chain: strictly negative equal values
+    top = illumination._chain_directions(illumination.chain_depths([[0b01111]], 5))[0]
+    np.testing.assert_array_equal(top, [-1.0, -1.0, -1.0, -1.0])
+    assert pattern_by_predicate(top, 5) == {(1, frozenset({1, 2, 3, 4}))}
 
 
 def test_chain_illuminator_illuminates_random_chains():
+    # checked against the scalar closed form: the direction lights its
+    # chain's extreme points and no other
     rng = np.random.default_rng(9)
     for _ in range(200):
-        d = int(rng.integers(1, 8))
-        sign = int(rng.choice([1, -1]))
-        # random nested chain: random permutation, random cut points
-        perm = rng.permutation(d) + 1
-        cuts = sorted(set(rng.integers(1, d + 1, size=rng.integers(1, d + 1)).tolist()))
-        chain = [ep(sign, set(perm[:c].tolist()), d) for c in cuts]
-        w = sign * illumination._flag_directions([[z.mask for z in chain]], d)[0]
-        assert all(illuminates(w, z) for z in chain)
+        n = int(rng.integers(2, 9))
+        perm = rng.permutation(n)
+        cuts = sorted(set(rng.integers(1, n, size=rng.integers(1, n)).tolist()))
+        chain = [sum(1 << int(i) for i in perm[:c]) for c in cuts]
+        w = illumination._chain_directions(illumination.chain_depths([chain], n))[0]
+        assert pattern_by_predicate(w, n) == chain_points(chain, n)
 
 
-def test_pair_illuminator_examples():
-    w = pair_direction({1, 2}, 4)
-    np.testing.assert_array_equal(w, [-1.0, -1.0, 1.0, 1.0])
-    assert illuminates(w, ep(1, {1, 2}, 4)) and illuminates(w, ep(-1, {3, 4}, 4))
+nested_chains = st.integers(2, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.permutations(range(n)),
+        st.sets(st.integers(1, n - 1), min_size=1),
+    )
+)
 
-    w2 = pair_direction({1}, 2)
-    np.testing.assert_array_equal(w2, [-1.0, 1.0])
-    assert illuminates(w2, ep(1, {1}, 2)) and illuminates(w2, ep(-1, {2}, 2))
-    # the odd-n optimal set holds one such direction per middle-weight support
-    assert any(np.array_equal(w, pair_direction({2}, 2)) for w in optimal_illuminating_set(3))
+
+@settings(max_examples=150, deadline=None)
+@given(nested_chains)
+def test_chain_direction_witnesses_exactly_its_chain(case):
+    n, order, cuts = case
+    chain = [sum(1 << i for i in order[:c]) for c in sorted(cuts)]
+    w = illumination._chain_directions(illumination.chain_depths([chain], n))
+    assert [m for m in illumination._witnessed(w)[0].tolist() if m] == chain
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +434,26 @@ def test_optimal_set_small_values():
     assert [w.tolist() for w in optimal_illuminating_set(2)] == [[-1.0], [1.0]]
     assert [w.tolist() for w in optimal_illuminating_set(3)] == [
         [-2.0, -1.0],
-        [1.0, 2.0],
         [1.0, -1.0],
+        [1.0, 2.0],
     ]
 
 
-def test_optimal_set_n5_uses_two_pair_directions():
-    dirs = optimal_illuminating_set(5)
-    assert len(dirs) == 10
-    pair_like = [w for w in dirs if np.abs(w).max() == 1.0]
-    chain_like = [w for w in dirs if np.abs(w).max() == 4.0]
-    assert len(pair_like) == 2
-    assert len(chain_like) == 8
+@pytest.mark.parametrize("n", range(2, 17))
+def test_optimal_set_lights_every_extreme_point_exactly_once(n):
+    masks = illumination._witnessed(np.array(optimal_illuminating_set(n)))
+    lit = np.bincount(masks.ravel(), minlength=1 << n)
+    assert (lit[1:-1] == 1).all()
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_chain_schedule_is_beta_to_the_minus_optimal_directions(n):
+    # the k-th scheduled test point is beta**-(w_k, 0), rescaled so x_1 = 1
+    beta = 1.5
+    w = np.array(optimal_illuminating_set(n))
+    wz = np.hstack([w, np.zeros((len(w), 1))])
+    levels = np.round(np.log(chain_schedule(n, beta)) / np.log(beta))
+    np.testing.assert_array_equal(levels, wz[:, :1] - wz)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -582,8 +599,7 @@ def test_illumination_number_exact_raises_when_the_antichain_fails(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_class_patterns_have_n_minus_1_bits(n):
     # a class with k negative coordinates illuminates k positive and
-    # n - 1 - k negative supports: a maximal chain of n - 1 subsets, as a
-    # flag direction of the chain cover does
+    # n - 1 - k negative supports: a maximal chain of n - 1 subsets
     masks = illumination._witnessed(illumination._class_block(n - 1))
     assert len(masks)
     assert ((masks != 0).sum(axis=1) == n - 1).all()
