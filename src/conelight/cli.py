@@ -142,13 +142,17 @@ def _cmd_illuminate_number(args) -> int:
 
 
 def _cmd_chains(args) -> int:
-    chains = illumination.symmetric_chain_masks(args.d)
+    depth = illumination.symmetric_chain_depths(args.d)
+    lengths = 2 * np.count_nonzero(depth, axis=1) - args.d + 1  # chain members: depth >= L, ..., 1
     _emit(
         {
             "command": "chains",
             "d": args.d,
-            "count": len(chains),
-            "chains": [illumination._bit_matrix(chain, args.d).tolist() for chain in chains],
+            "count": len(depth),
+            "chains": [
+                (row >= np.arange(length, 0, -1)[:, np.newaxis]).astype(np.int64).tolist()
+                for row, length in zip(depth, lengths.tolist())
+            ],
         }
     )
     return EXIT_OK

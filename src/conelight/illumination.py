@@ -26,19 +26,20 @@ strictly nested chain of proper subsets of {1, ..., n} into a direction:
 with depth_j the number of chain members holding index j, w_j = depth_n -
 depth_j sorts (w, 0) by decreasing depth, so w lights exactly the chain
 (`_chain_directions`).  The C(n, ceil(n/2)) symmetric chains of
-{1, ..., n} partition the proper subsets, so one direction per chain is an
-illuminating set of the optimal size that lights every extreme point
-exactly once.  The least number of chains covering the proper subsets is
-the exact illumination number (a maximum matching that certifies itself
-with an antichain of the same size), and antichain certificates witness
-the matching lower bound.
+{1, ..., n}, built in closed form by bracket matching
+(`symmetric_chain_depths`), partition the proper subsets, so one
+direction per chain is an illuminating set of the optimal size that
+lights every extreme point exactly once.  The least number of chains
+covering the proper subsets is the exact illumination number (a maximum
+matching that certifies itself with an antichain of the same size), and
+antichain certificates witness the matching lower bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations, permutations, zip_longest
+from itertools import combinations, permutations, zip_longest
 from operator import or_
 from typing import Sequence
 
@@ -184,16 +185,11 @@ def illuminated_supports(w) -> tuple[list[frozenset[int]], list[frozenset[int]]]
     )
 
 
-def _bit_matrix(masks, d: int) -> np.ndarray:
-    """Row k holds the bits 0..d-1 of masks[k] as 0/1 integers."""
-    return (np.asarray(masks, dtype=np.int64)[:, np.newaxis] >> np.arange(d)) & 1
-
-
 def chain_depths(chains: Sequence[Sequence[int]], d: int) -> np.ndarray:
     """Row k, column j holds how many masks of chains[k] contain index j + 1."""
     depth = np.zeros((len(chains), d), dtype=np.int64)
     for masks in zip_longest(*chains, fillvalue=0):  # the empty mask holds no index
-        depth += _bit_matrix(masks, d)
+        depth += (np.array(masks, dtype=np.int64)[:, np.newaxis] >> np.arange(d)) & 1
     return depth
 
 
@@ -204,44 +200,42 @@ def _chain_directions(depth: np.ndarray) -> np.ndarray:
     return (depth[:, -1:] - depth[:, :-1]).astype(float)
 
 
-def symmetric_chain_masks(d: int) -> list[list[int]]:
-    """Partition the subsets of {1, ..., d}, as bitmasks (bit i - 1 for
-    index i), into C(d, ceil(d/2)) symmetric chains, each listed from its
-    bottom, chains ordered by bottom.
+def symmetric_chain_depths(d: int) -> np.ndarray:
+    """The `chain_depths` of C(d, ceil(d/2)) symmetric chains (saturated,
+    bottom size + top size = d) partitioning the subsets of {1, ..., d},
+    ordered by bottom mask; the chain of length L in row k holds the
+    superlevel sets depth[k] >= t, t = L, ..., 1, bottom first.
 
-    Symmetric means saturated (each successor adds exactly one element)
-    with bottom size + top size = d.  Construction by bracket matching:
-    scan coordinates left to right reading 0 as an opening and 1 as a
-    closing bracket and match them in the usual nested fashion.  Vectors
-    sharing a matching structure form one chain; a chain bottom has no
-    unmatched 1, and the chain switches its unmatched zeros to 1 from the
-    left.  Each chain gains one matched pair per two coordinates it fixes,
-    which forces the bottom/top size symmetry.
+    Bracket matching in closed form on the bits of all 2^d masks, 0 opening
+    and 1 closing: a bottom's prefix balance never goes negative, and a 0 is
+    unmatched iff the balance never returns to where it stood before it.
+    The chain turns its unmatched zeros to 1 from the left, so the bottom's
+    ones have depth L, the k-th unmatched 0 depth L - k, a matched 0 depth 0.
     """
     _check_size("d", d, MAX_CHAIN_D)
     if d < 1:
         raise ValueError("d must be at least 1")
-    chains: list[list[int]] = []
-
-    def extend(i: int, bottom: int, unmatched: list[int]) -> None:
-        if i == d:
-            chains.append(list(accumulate([1 << pos for pos in unmatched], or_, initial=bottom)))
-            return
-        extend(i + 1, bottom, unmatched + [i])
-        if unmatched:  # a 1 closes the innermost open 0
-            extend(i + 1, bottom | 1 << i, unmatched[:-1])
-
-    extend(0, 0, [])
-    chains.sort()
-    return chains
+    masks = np.arange(1 << d)
+    step = np.empty((1 << d, d), dtype=np.int8)  # +1 opens at a 0, -1 closes at a 1
+    for j in range(d):
+        step[:, j] = 1 - 2 * ((masks >> j) & 1)
+    balance = np.cumsum(step, axis=1, dtype=np.int8)  # after each bit
+    bottom = balance.min(axis=1) >= 0
+    step, balance = step[bottom], balance[bottom]
+    unmatched = balance - step < np.minimum.accumulate(balance[:, ::-1], axis=1)[:, ::-1]
+    rank = np.cumsum(unmatched, axis=1, dtype=np.int8)
+    length = rank[:, -1:] + 1
+    return np.where(step < 0, length, np.where(unmatched, length - rank, 0)).astype(np.int64)
 
 
 def proper_chain_depths(n: int) -> np.ndarray:
-    """`chain_depths` of the C(n, ceil(n/2)) chains of `symmetric_chain_masks(n)`
-    with the empty and the full set removed, which partition the nonempty
-    proper subsets of {1, ..., n}."""
-    full = (1 << n) - 1
-    return chain_depths([[m for m in c if 0 < m < full] for c in symmetric_chain_masks(n)], n)
+    """The depths of chains partitioning the nonempty proper subsets of
+    {1, ..., n}: `symmetric_chain_depths(n)` less the empty and the full set,
+    which both lie on row 0's chain; dropping its top lowers that row by 1."""
+    _check_size("n", n, MAX_CHAIN_D)
+    depth = symmetric_chain_depths(n)
+    depth[0] -= 1
+    return depth
 
 
 def optimal_illuminating_set(n: int) -> list[np.ndarray]:

@@ -23,7 +23,7 @@ from conelight.illumination import (
     illumination_number_exact,
     lower_bound_certificate,
     optimal_illuminating_set,
-    symmetric_chain_masks,
+    symmetric_chain_depths,
     verify_illumination,
 )
 from conelight.maps import MatrixMap, MaxPlusMap, MonomialMap, evaluate, shear2_map
@@ -89,10 +89,11 @@ def test_criterion_3_lower_bound_certificates():
 def test_criterion_4_symmetric_chain_decompositions():
     checked = []
     for d in range(1, 13):
-        chains = [
-            [tuple((m >> i) & 1 for i in range(d)) for m in chain]
-            for chain in symmetric_chain_masks(d)
-        ]
+        chains = []
+        for row in symmetric_chain_depths(d).tolist():
+            # a chain of length L holds the superlevel sets depth >= t, t = L, ..., 1
+            length = 2 * sum(v > 0 for v in row) - d + 1
+            chains.append([tuple(int(v >= t) for v in row) for t in range(length, 0, -1)])
         seen = set()
         for chain in chains:
             for a, b in zip(chain, chain[1:]):

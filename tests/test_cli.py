@@ -106,15 +106,22 @@ def test_illuminate_verify_malformed_directions_is_one_json_error(capsys, tmp_pa
         ["illuminate-verify", "-n", "40", "--directions", "DIRS"],
         ["certificate", "-n", "15"],
         ["illuminate-number", "-n", "13"],
+        # the schedule's chains are over the map's n indices; no d was given
+        ["detect", "--map", "MAP21", "--mode", "scheduled", "--beta", "1.1"],
     ],
 )
 def test_over_limit_sizes_are_one_too_large_error(capsys, tmp_path, argv):
     dirs = tmp_path / "dirs.json"
     dirs.write_text("[]")
-    code = dispatch([str(dirs) if a == "DIRS" else a for a in argv])
+    map21 = tmp_path / "map21.json"
+    map21.write_text(json.dumps({"type": "matrix", "data": [[1.0] * 21] * 21}))
+    code = dispatch([{"DIRS": str(dirs), "MAP21": str(map21)}.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 1
-    assert json.loads(captured.out)["error"]["type"] == "too_large"
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "too_large"
+    if argv[0] == "detect":
+        assert error["message"].startswith("n = 21 ")
     assert "Traceback" not in captured.err
 
 

@@ -21,7 +21,6 @@ from conelight.detector import (
     run,
 )
 from conelight.geometry import mask_members
-from conelight.illumination import symmetric_chain_masks
 from conelight.maps import (
     DYNAMIC_RANGE_CAP,
     FunctionMap,
@@ -162,13 +161,13 @@ def test_subset_ledger_rejects_negative_history_cap():
 # ---------------------------------------------------------------------------
 
 
-def reference_chain_schedule(n, beta):
-    """The chain schedule built one chain at a time: indices in the
-    smallest subset at level k, each successive difference one level
-    lower, the complement at level 0."""
+def reference_chain_schedule(chains, n, beta):
+    """The chain schedule built one chain at a time from the symmetric
+    chains of {1, ..., n}: indices in the smallest subset at level k, each
+    successive difference one level lower, the complement at level 0."""
     full = (1 << n) - 1
     points = []
-    for chain in symmetric_chain_masks(n):
+    for chain in chains:
         subsets = [J for J in chain if 0 < J < full]
         k = len(subsets)
         levels = np.zeros(n)
@@ -183,12 +182,13 @@ def reference_chain_schedule(n, beta):
 
 
 @pytest.mark.parametrize("n", range(2, 15))
-def test_chain_schedule_matches_reference(n):
+def test_chain_schedule_matches_reference(n, reference_symmetric_chains):
+    chains = reference_symmetric_chains(n)
     for beta in (1.5, 10.0, 1000.0, DYNAMIC_RANGE_CAP ** (1 / (n - 1))):
         if beta ** (n - 1) > DYNAMIC_RANGE_CAP:
             continue
         got = chain_schedule(n, beta)
-        want = reference_chain_schedule(n, beta)
+        want = reference_chain_schedule(chains, n, beta)
         assert got.shape == (comb(n, (n + 1) // 2), n)
         assert got.tobytes() == np.array(want).tobytes()
 

@@ -27,7 +27,7 @@ from conelight.illumination import (
     illumination_number_exact,
     lower_bound_certificate,
     optimal_illuminating_set,
-    symmetric_chain_masks,
+    symmetric_chain_depths,
     verify_illumination,
 )
 
@@ -82,16 +82,22 @@ def level_direction(chain, n):
     return np.array([level[-1] - level[j] for j in range(n - 1)], dtype=float)
 
 
-def decoded(chain, d):
-    """A chain of bitmasks as 0/1 tuples, coordinate i - 1 for index i."""
-    return [tuple((m >> i) & 1 for i in range(d)) for m in chain]
+def decoded_chains(depth):
+    """Each row of a `symmetric_chain_depths` array as its chain of 0/1
+    tuples, bottom first: a chain of length L = 2 * #(depth > 0) - d + 1
+    holds the superlevel sets {j : depth_j >= t}, t = L, ..., 1."""
+    chains = []
+    for row in depth.tolist():
+        length = 2 * sum(v > 0 for v in row) - len(row) + 1
+        chains.append([tuple(int(v >= t) for v in row) for t in range(length, 0, -1)])
+    return chains
 
 
-def reference_optimal_set(n):
+def reference_optimal_set(chains, n):
     """The optimal set composed chain by chain: one level direction per
     symmetric chain of {1, ..., n}, its empty and full sets removed."""
     full = (1 << n) - 1
-    return [level_direction([m for m in c if 0 < m < full], n) for c in symmetric_chain_masks(n)]
+    return [level_direction([m for m in c if 0 < m < full], n) for c in chains]
 
 
 def brute_force_width(masks):
@@ -253,9 +259,9 @@ def test_verify_illumination_matches_reference_loop(case):
 
 
 @pytest.mark.parametrize("n", range(2, 15))
-def test_optimal_set_equals_composition_of_public_illuminators(n):
+def test_optimal_set_equals_composition_of_public_illuminators(n, reference_symmetric_chains):
     got = optimal_illuminating_set(n)
-    expected = reference_optimal_set(n)
+    expected = reference_optimal_set(reference_symmetric_chains(n), n)
     assert len(got) == len(expected)
     for w, v in zip(got, expected):
         assert w.tobytes() == v.tobytes()
@@ -310,13 +316,13 @@ def test_size_limits_raise_too_large_before_building():
     with pytest.raises(TooLargeError):
         verify_illumination([], MAX_ILLUMINATION_N + 1)
     with pytest.raises(TooLargeError):
-        symmetric_chain_masks(MAX_CHAIN_D + 1)
+        symmetric_chain_depths(MAX_CHAIN_D + 1)
     with pytest.raises(TooLargeError):
         lower_bound_certificate(MAX_CERTIFICATE_N + 1)
     with pytest.raises(TooLargeError):
         illumination_number_exact(MAX_EXACT_N + 1)
     # the scheduled sampler builds the same chains, over n indices
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError, match=f"n = {MAX_CHAIN_D + 1} "):
         chain_schedule(MAX_CHAIN_D + 1, 1.1)
 
 
@@ -398,24 +404,31 @@ def test_chain_direction_witnesses_exactly_its_chain(case):
 
 
 def test_scd_small_cases_exact():
-    assert [decoded(c, 1) for c in symmetric_chain_masks(1)] == [[(0,), (1,)]]
-    assert [decoded(c, 2) for c in symmetric_chain_masks(2)] == [
+    assert decoded_chains(symmetric_chain_depths(1)) == [[(0,), (1,)]]
+    assert decoded_chains(symmetric_chain_depths(2)) == [
         [(0, 0), (1, 0), (1, 1)],
         [(0, 1)],
     ]
-    d3 = symmetric_chain_masks(3)
+    d3 = decoded_chains(symmetric_chain_depths(3))
     assert len(d3) == 3
     assert sum(len(c) for c in d3) == 8
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_scd_properties(d):
-    assert_symmetric_decomposition([decoded(c, d) for c in symmetric_chain_masks(d)], d)
+    assert_symmetric_decomposition(decoded_chains(symmetric_chain_depths(d)), d)
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_closed_form_depths_match_the_bracket_matcher(d, reference_symmetric_chains):
+    got = symmetric_chain_depths(d)
+    want = illumination.chain_depths(reference_symmetric_chains(d), d)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_scd_rejects_nonpositive():
     with pytest.raises(ValueError):
-        symmetric_chain_masks(0)
+        symmetric_chain_depths(0)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +475,56 @@ def test_optimal_set_is_pointwise_tight(n):
     for skip in range(len(dirs)):
         reduced = [w for i, w in enumerate(dirs) if i != skip]
         assert not verify_illumination(reduced, n).covered
+
+
+# Symmetries of the ball: permuting all n coordinates of (w, 0), then
+# shifting coordinate n back to zero, maps subset J to sigma(J); negation
+# maps J to its complement.  Small integer entries give ties and zeros and
+# keep the shift exact.
+symmetric_cases = st.integers(2, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.integers(-3, 3).map(float), min_size=n - 1, max_size=n - 1).filter(any),
+            max_size=8,
+        ),
+        st.one_of(st.none(), st.permutations(range(n))),
+    )
+)
+
+
+def transformed(w, sigma):
+    """The direction whose (w', 0) is (w, 0) with coordinate i moved to
+    sigma[i] and shifted so coordinate n is zero; negation when sigma is None."""
+    if sigma is None:
+        return -np.asarray(w)
+    moved = np.empty(len(w) + 1)
+    moved[list(sigma)] = np.append(w, 0.0)
+    return moved[:-1] - moved[-1]
+
+
+def transformed_subset(J, n, sigma):
+    return frozenset(range(1, n + 1)) - J if sigma is None else frozenset(sigma[j - 1] + 1 for j in J)
+
+
+def unilluminated_subsets(directions, n):
+    """The subsets of {1, ..., n} whose extreme points no direction lights."""
+    full = frozenset(range(1, n + 1))
+    report = verify_illumination(directions, n)
+    return [z.support if z.sign > 0 else full - z.support for z in report.unilluminated]
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_cases)
+def test_ball_symmetries_carry_the_unilluminated_points(case):
+    n, rows, sigma = case
+    moved = unilluminated_subsets([transformed(w, sigma) for w in rows], n)
+    expected = [transformed_subset(J, n, sigma) for J in unilluminated_subsets(rows, n)]
+    assert len(moved) == len(expected) and set(moved) == set(expected)
+    # the image of the optimal set is again a partition into lit chains
+    image = np.array([transformed(w, sigma) for w in optimal_illuminating_set(n)])
+    lit = np.bincount(illumination._witnessed(image).ravel(), minlength=1 << n)
+    assert (lit[1:-1] == 1).all()
 
 
 def test_verify_illumination_negative_cases():
