@@ -18,8 +18,6 @@ from .detector import (
     chain_schedule,
     estimate_eigenvector,
     min_remaining_lower_bound,
-    record_step,
-    recordable_subsets,
 )
 from .detector import run as run_detection
 from .geometry import (
@@ -37,7 +35,6 @@ from .illumination import (
     IlluminationReport,
     LowerBoundCertificate,
     TooLargeError,
-    illuminated_supports,
     illuminates,
     illuminates_numeric,
     illumination_number_exact,
@@ -58,7 +55,6 @@ from .maps import (
     load_map,
     map_from_spec,
     normalize,
-    ratio_vector,
     shear2_map,
     verify_cone_map,
 )
@@ -91,7 +87,6 @@ __all__ = [
     "extreme_points",
     "hilbert_distance",
     "hilbert_norm",
-    "illuminated_supports",
     "illuminates",
     "illuminates_numeric",
     "illumination_number_exact",
@@ -102,9 +97,6 @@ __all__ = [
     "min_remaining_lower_bound",
     "normalize",
     "optimal_illuminating_set",
-    "ratio_vector",
-    "record_step",
-    "recordable_subsets",
     "run_detection",
     "shear2_map",
     "subset_to_extreme_point",

@@ -14,11 +14,12 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import illumination
-from .detector import DetectionReport, SamplerConfig, run
+from .detector import SAMPLER_MODES, DetectionReport, SamplerConfig, estimate_eigenvector, run
 from .maps import InvalidMapError, load_map
 
 EXIT_OK = 0
@@ -70,23 +71,38 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certificate", help="antichain lower-bound certificate")
     p.add_argument("-n", type=int, required=True)
 
-    p = sub.add_parser("detect", help="run the eigenvector detector on a map file")
+    # `detect` and `eigen` leave an option out of the parsed arguments when it
+    # is not given, so the library's default applies (see `_given`).
+    p = sub.add_parser(
+        "detect",
+        help="run the eigenvector detector on a map file",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("--map", required=True, help="JSON map specification file")
-    p.add_argument("--mode", default="log-uniform", choices=["unit-box", "log-uniform", "scheduled"])
-    p.add_argument("--radius", type=float, default=3.0)
-    p.add_argument("--beta", type=float, default=1000.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=10000)
-    p.add_argument("--history-cap", type=int, default=1000)
+    p.add_argument("--mode", choices=SAMPLER_MODES)
+    p.add_argument("--radius", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-iters", type=int, dest="max_iterations")
+    p.add_argument("--history-cap", type=int)
     p.add_argument("--history-csv", default=None, help="also write the sample history as CSV")
 
-    p = sub.add_parser("eigen", help="best-effort eigenvector estimate for a map file")
+    p = sub.add_parser(
+        "eigen",
+        help="best-effort eigenvector estimate for a map file",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("--map", required=True)
     p.add_argument("--x0", default=None, help="comma-separated start point, default all ones")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=1000)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iters", type=int, dest="max_iter")
 
     return parser
+
+
+def _given(args, names) -> dict:
+    """The options among `names` given on the command line, by name."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _write_history_csv(path: str, report: DetectionReport) -> None:
@@ -166,14 +182,7 @@ def _cmd_certificate(args) -> int:
 
 def _cmd_detect(args) -> int:
     cone_map = load_map(args.map)
-    cfg = SamplerConfig(
-        mode=args.mode,
-        radius=args.radius,
-        beta=args.beta,
-        seed=args.seed,
-        max_iterations=args.max_iters,
-        history_cap=args.history_cap,
-    )
+    cfg = SamplerConfig(**_given(args, [field.name for field in fields(SamplerConfig)]))
     report = run(cone_map, cfg)
     if args.history_csv:
         _write_history_csv(args.history_csv, report)
@@ -182,8 +191,6 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
-    from .detector import estimate_eigenvector
-
     cone_map = load_map(args.map)
     if args.x0 is None:
         x0 = np.ones(cone_map.dim)
@@ -192,7 +199,7 @@ def _cmd_eigen(args) -> int:
             x0 = np.array([float(v) for v in args.x0.split(",")])
         except ValueError:
             raise _UsageError(f"--x0 must be comma-separated numbers, got {args.x0!r}")
-    estimate = estimate_eigenvector(cone_map, x0, tol=args.tol, max_iter=args.max_iters)
+    estimate = estimate_eigenvector(cone_map, x0, **_given(args, ["tol", "max_iter"]))
     _emit(
         {
             "command": "eigen",

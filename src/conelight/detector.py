@@ -49,16 +49,43 @@ RATIO_TIE_RTOL = 1e-12
 BLOCK_SIZE = 512
 
 
-def recordable_subsets(ratios, rel_tol: float = RATIO_TIE_RTOL) -> list[frozenset[int]]:
-    """Subsets witnessed by one ratio vector, smallest first.
+@dataclass(frozen=True)
+class SamplerConfig:
+    """How the detector draws test points.
 
-    Sorts the ratios and emits the index prefix at every strict gap; gaps
-    below `rel_tol` relative are treated as ties and never recorded
-    across.  At most n - 1 subsets result and they are nested by
-    construction.
+    Modes: "unit-box" fixes x_1 = 1 and draws the other coordinates
+    uniformly from (0, 1); "log-uniform" fixes x_1 = 1 and draws
+    log-coordinates uniformly from (-radius, radius); "scheduled" consumes
+    the chain schedule for `beta`.
     """
-    masks = witnessed_masks(np.asarray(ratios, dtype=float).reshape(1, -1), rel_tol)
-    return [frozenset(mask_members(m)) for m in masks[0].tolist() if m]
+
+    mode: str = "log-uniform"
+    radius: float = 3.0
+    beta: float = 1000.0
+    seed: int = 0
+    max_iterations: int = 10000
+    history_cap: int = 1000
+
+    def __post_init__(self):
+        if self.mode not in SAMPLER_MODES:
+            raise ValueError(f"mode must be one of {SAMPLER_MODES}")
+        if not self.radius > 0.0:
+            raise ValueError("radius must be positive")
+        if 2.0 * self.radius > math.log(DYNAMIC_RANGE_CAP):
+            # coordinates span exp(2 * radius); beyond the cap the ratios
+            # are untrustworthy and exp under- or overflows
+            raise ValueError(
+                f"radius must satisfy exp(2 * radius) <= {DYNAMIC_RANGE_CAP:g}, "
+                f"so at most {math.log(DYNAMIC_RANGE_CAP) / 2:.4g}"
+            )
+        if not 1.0 < self.beta < math.inf:
+            raise ValueError("beta must exceed 1 and be finite")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be positive")
+        if self.history_cap < 0:
+            raise ValueError("history_cap must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -80,7 +107,7 @@ class SubsetLedger:
     first records the mask.
     """
 
-    def __init__(self, n: int, history_cap: int = 1000):
+    def __init__(self, n: int, history_cap: int = SamplerConfig.history_cap):
         if n < 1:
             raise ValueError("dimension must be at least 1")
         if history_cap < 0:
@@ -142,12 +169,6 @@ def _record_block(f: ConeMap, points, ledger: SubsetLedger) -> np.ndarray:
     return masks[: ledger.note_block(points, ratios, masks)]
 
 
-def record_step(f: ConeMap, x, ledger: SubsetLedger) -> list[frozenset[int]]:
-    """Evaluate one test point, record what it witnesses, return the subsets."""
-    masks = _record_block(f, as_positive_vector(x)[np.newaxis], ledger)
-    return [frozenset(ledger.recorded[m]) for m in masks[0].tolist() if m]
-
-
 def min_remaining_lower_bound(ledger: SubsetLedger) -> int:
     """Samples still needed, at minimum.
 
@@ -168,51 +189,12 @@ def min_remaining_lower_bound(ledger: SubsetLedger) -> int:
 
 
 @dataclass(frozen=True)
-class SamplerConfig:
-    """How the detector draws test points.
-
-    Modes: "unit-box" fixes x_1 = 1 and draws the other coordinates
-    uniformly from (0, 1); "log-uniform" fixes x_1 = 1 and draws
-    log-coordinates uniformly from (-radius, radius); "scheduled" consumes
-    the chain schedule for `beta`.
-    """
-
-    mode: str = "log-uniform"
-    radius: float = 3.0
-    beta: float = 1000.0
-    seed: int = 0
-    max_iterations: int = 10000
-    history_cap: int = 1000
-
-    def __post_init__(self):
-        if self.mode not in SAMPLER_MODES:
-            raise ValueError(f"mode must be one of {SAMPLER_MODES}")
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
-        if 2.0 * self.radius > math.log(DYNAMIC_RANGE_CAP):
-            # coordinates span exp(2 * radius); beyond the cap the ratios
-            # are untrustworthy and exp under- or overflows
-            raise ValueError(
-                f"radius must satisfy exp(2 * radius) <= {DYNAMIC_RANGE_CAP:g}, "
-                f"so at most {math.log(DYNAMIC_RANGE_CAP) / 2:.4g}"
-            )
-        if not 1.0 < self.beta < math.inf:
-            raise ValueError("beta must exceed 1 and be finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.history_cap < 0:
-            raise ValueError("history_cap must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-
-
-@dataclass(frozen=True)
 class DetectionReport:
     """Result of a detection run.
 
     `halted` implies every nonempty proper subset was recorded.  The
-    eigenvector fields are a best-effort estimate attempted only after a
-    halt and may be marked unconverged.
+    eigenvector `estimate` is attempted only after a halt and may be marked
+    unconverged.
     """
 
     dimension: int
@@ -226,20 +208,10 @@ class DetectionReport:
     recorded_subsets: tuple[tuple[int, ...], ...]
     history: tuple[SampleRecord, ...]
     history_truncated: bool
-    eigenvector: Optional[tuple[float, ...]] = None
-    eigenvalue: Optional[float] = None
-    residual: Optional[float] = None
-    eigen_converged: Optional[bool] = None
+    estimate: Optional[EigenEstimate] = None
 
     def to_dict(self) -> dict:
-        estimate = None
-        if self.eigenvector is not None:
-            estimate = {
-                "vector": list(self.eigenvector),
-                "eigenvalue": self.eigenvalue,
-                "residual": self.residual,
-                "converged": self.eigen_converged,
-            }
+        estimate = self.estimate
         return {
             "dimension": self.dimension,
             "map": self.map_name,
@@ -254,7 +226,12 @@ class DetectionReport:
             "total_subsets": self.total_subsets,
             "remaining_lower_bound": self.remaining_lower_bound,
             "recorded_subsets": [list(s) for s in self.recorded_subsets],
-            "eigenvector_estimate": estimate,
+            "eigenvector_estimate": None if estimate is None else {
+                "vector": list(estimate.vector),
+                "eigenvalue": estimate.eigenvalue,
+                "residual": estimate.residual,
+                "converged": estimate.converged,
+            },
             "history_truncated": self.history_truncated,
             "history": [
                 {
@@ -395,10 +372,6 @@ def run(f: ConeMap, cfg: SamplerConfig) -> DetectionReport:
             f"bound C({n}, {(n + 1) // 2}) = {bound}"
         )
 
-    estimate = None
-    if halted:
-        estimate = estimate_eigenvector(f, np.ones(n))
-
     return DetectionReport(
         dimension=n,
         map_name=f.name,
@@ -411,8 +384,5 @@ def run(f: ConeMap, cfg: SamplerConfig) -> DetectionReport:
         recorded_subsets=tuple(sorted(ledger.recorded.values(), key=lambda t: (len(t), t))),
         history=tuple(ledger.history),
         history_truncated=ledger.samples_seen > len(ledger.history),
-        eigenvector=None if estimate is None else estimate.vector,
-        eigenvalue=None if estimate is None else estimate.eigenvalue,
-        residual=None if estimate is None else estimate.residual,
-        eigen_converged=None if estimate is None else estimate.converged,
+        estimate=estimate_eigenvector(f, np.ones(n)) if halted else None,
     )

@@ -67,6 +67,10 @@ MAX_CHAIN_D = 20
 MAX_CERTIFICATE_N = 9
 MAX_EXACT_N = 12
 
+# Directions passed to `witnessed_masks` at once; its sort and prefix-sum
+# temporaries are several (rows, n) arrays, so this bounds their memory.
+WITNESS_BLOCK_ROWS = 1 << 14
+
 
 class TooLargeError(ValueError):
     """A size argument exceeds its documented limit."""
@@ -154,7 +158,9 @@ def _witnessed(block: np.ndarray) -> np.ndarray:
     (w, 0), as (m, d) n-bit masks, a nested chain read smallest first, 0
     for none.  A mask J stands for the extreme point
     `subset_to_extreme_point(J, d + 1)`, which w illuminates."""
-    return witnessed_masks(np.hstack([block, np.zeros((len(block), 1))]))
+    rows = WITNESS_BLOCK_ROWS
+    parts = [block[i : i + rows] for i in range(0, max(len(block), 1), rows)]
+    return np.concatenate([witnessed_masks(np.hstack([p, np.zeros((len(p), 1))])) for p in parts])
 
 
 def _lit_counts(block: np.ndarray, d: int) -> np.ndarray:
@@ -167,22 +173,6 @@ def _check_lit_once(directions: np.ndarray, n: int, built: str) -> None:
     """Raise unless the directions light each extreme point exactly once."""
     if not (_lit_counts(directions, n - 1)[1:-1] == 1).all():
         raise RuntimeError(f"{built} for n = {n} do not light every extreme point exactly once")
-
-
-def illuminated_supports(w) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
-    """All supports whose positive / negative extreme points `w` illuminates.
-
-    By the closed form, +1_I is illuminated iff I = {j : w_j <= t} for the
-    (negative) value t = max_I w, and symmetrically for -1_I.  Each list
-    is a nested chain, shortest support first.
-    """
-    wv = as_direction(w)
-    full = (2 << wv.size) - 1
-    masks = [m for m in _witnessed(wv[np.newaxis])[0].tolist() if m]
-    return (
-        [frozenset(mask_members(m)) for m in masks if not m >> wv.size],
-        [frozenset(mask_members(full - m)) for m in masks[::-1] if m >> wv.size],
-    )
 
 
 def chain_depths(chains: Sequence[Sequence[int]], d: int) -> np.ndarray:
@@ -479,22 +469,18 @@ class LowerBoundCertificate:
 def lower_bound_certificate(n: int) -> LowerBoundCertificate:
     """Antichain certificate of size C(n, ceil(n/2)).
 
-    Takes all positive extreme points of support size k and all negative
-    ones of support size m, with (k, m) = ((n-1)/2, (n+1)/2) for odd n and
-    k = m = n/2 for even n.  Every canonical direction class is exhausted
-    and the points it illuminates inside the certificate are intersected
-    pairwise; no pair may be covered by one class, which (ties and zeros
-    being dominated by nearby canonical directions) means no single
-    direction can serve two certificate points.
+    Takes all positive extreme points of support size k = floor(n/2) and
+    all negative ones of support size m = ceil(n/2).  Every canonical
+    direction class is exhausted and the points it illuminates inside the
+    certificate are intersected pairwise; no pair may be covered by one
+    class, which (ties and zeros being dominated by nearby canonical
+    directions) means no single direction can serve two certificate points.
     """
     _check_size("n", n, MAX_CERTIFICATE_N)
     if n < 2:
         raise ValueError("n must be at least 2")
     d = n - 1
-    if n % 2 == 1:
-        k, m = (n - 1) // 2, (n + 1) // 2
-    else:
-        k = m = n // 2
+    k, m = n // 2, (n + 1) // 2
     points = [
         ExtremePoint(1, frozenset(c), d) for c in combinations(range(1, d + 1), k)
     ] + [ExtremePoint(-1, frozenset(c), d) for c in combinations(range(1, d + 1), m)]

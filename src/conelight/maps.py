@@ -126,12 +126,6 @@ def evaluate_batch(f: ConeMap, x) -> np.ndarray:
     return _checked_output(f, xv, f.apply_batch(xv))
 
 
-def ratio_vector(f: ConeMap, x) -> np.ndarray:
-    """Componentwise ratios f(x)_j / x_j."""
-    xv = as_positive_vector(x)
-    return evaluate(f, xv) / xv
-
-
 def normalize(f: ConeMap, x) -> np.ndarray:
     """Evaluate and rescale so the last coordinate is 1.
 

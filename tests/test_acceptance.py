@@ -10,12 +10,13 @@ from math import comb
 
 import numpy as np
 
-from conelight.detector import SamplerConfig, recordable_subsets, run
+from conelight.detector import RATIO_TIE_RTOL, SamplerConfig, run
 from conelight.geometry import (
     extreme_points,
     hilbert_distance,
     log_map,
     variation_norm,
+    witnessed_masks,
 )
 from conelight.illumination import (
     illuminates,
@@ -176,7 +177,8 @@ def test_criterion_6_detector_behavior_matrix():
         x = np.exp(rng.uniform(-8.0, 8.0, 2))
         ratios = (f.matrix @ x) / x
         assert ratios[0] > ratios[1]
-        assert frozenset({1}) not in recordable_subsets(ratios)
+        masks = witnessed_masks(ratios[np.newaxis], RATIO_TIE_RTOL)
+        assert 0b1 not in masks[0].tolist()  # the subset {1}
 
     diag_report = run(
         MatrixMap(np.diag([1.0, 2.0, 3.0])),

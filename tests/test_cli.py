@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -5,7 +6,9 @@ import sys
 
 import pytest
 
+from conelight import cli, detector
 from conelight.cli import dispatch
+from conelight.detector import SAMPLER_MODES, SamplerConfig
 
 
 def run_cli(capsys, argv):
@@ -239,6 +242,40 @@ def test_eigen_bad_x0_is_exit_1(capsys, matrix_file):
     code, doc = run_cli(capsys, ["eigen", "--map", matrix_file, "--x0", "1,zap"])
     assert code == 1
     assert doc["error"]["type"] == "usage"
+
+
+def test_omitted_options_take_the_library_defaults(monkeypatch, matrix_file):
+    # the parser holds no default of its own: with no options, `detect` runs
+    # SamplerConfig() and `eigen` the defaults of estimate_eigenvector
+    seen = {}
+
+    class Captured(Exception):
+        pass
+
+    def capture(name, fn):
+        def fake(*args, **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen[name] = bound.arguments
+            raise Captured
+
+        return fake
+
+    monkeypatch.setattr(cli, "run", capture("run", detector.run))
+    monkeypatch.setattr(
+        cli, "estimate_eigenvector", capture("eigen", detector.estimate_eigenvector)
+    )
+    for command in ("detect", "eigen"):
+        with pytest.raises(Captured):
+            dispatch([command, "--map", matrix_file])
+    assert seen["run"]["cfg"] == SamplerConfig()
+    defaults = inspect.signature(detector.estimate_eigenvector).parameters
+    assert seen["eigen"]["tol"] == defaults["tol"].default
+    assert seen["eigen"]["max_iter"] == defaults["max_iter"].default
+    for mode in SAMPLER_MODES:
+        with pytest.raises(Captured):
+            dispatch(["detect", "--map", matrix_file, "--mode", mode])
+        assert seen["run"]["cfg"] == SamplerConfig(mode=mode)
 
 
 def test_bad_arguments_are_exit_1(capsys):

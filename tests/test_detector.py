@@ -16,11 +16,9 @@ from conelight.detector import (
     chain_schedule,
     estimate_eigenvector,
     min_remaining_lower_bound,
-    record_step,
-    recordable_subsets,
     run,
 )
-from conelight.geometry import mask_members
+from conelight.geometry import mask_members, witnessed_masks
 from conelight.maps import (
     DYNAMIC_RANGE_CAP,
     FunctionMap,
@@ -29,7 +27,6 @@ from conelight.maps import (
     MaxPlusMap,
     MonomialMap,
     evaluate,
-    ratio_vector,
     shear2_map,
 )
 
@@ -48,16 +45,30 @@ def brute_force_recordable(ratios):
     return witnessed
 
 
+def recordable(ratios, rel_tol=RATIO_TIE_RTOL):
+    """The subsets one ratio vector witnesses under the detector's tie rule,
+    smallest first: the nonzero `witnessed_masks` of a one-row block."""
+    masks = witnessed_masks(np.array([ratios], dtype=float), rel_tol)
+    return [frozenset(mask_members(m)) for m in masks[0].tolist() if m]
+
+
+def record_one(f, x, ledger):
+    """Record one test point as a one-row block; the subsets it witnesses,
+    smallest first."""
+    masks = detector._record_block(f, np.array([x], dtype=float), ledger)
+    return [frozenset(mask_members(m)) for m in masks[0].tolist() if m]
+
+
 # ---------------------------------------------------------------------------
 # Recording
 # ---------------------------------------------------------------------------
 
 
 def test_recordable_subsets_examples():
-    assert recordable_subsets([1.5, 1.0]) == [frozenset({2})]
-    assert recordable_subsets([1.0, 1.0, 1.0]) == []
-    assert recordable_subsets([2.5, 4.0]) == [frozenset({1})]
-    assert recordable_subsets([3.0, 1.0, 2.0]) == [
+    assert recordable([1.5, 1.0]) == [frozenset({2})]
+    assert recordable([1.0, 1.0, 1.0]) == []
+    assert recordable([2.5, 4.0]) == [frozenset({1})]
+    assert recordable([3.0, 1.0, 2.0]) == [
         frozenset({2}),
         frozenset({2, 3}),
     ]
@@ -65,11 +76,11 @@ def test_recordable_subsets_examples():
 
 def test_recordable_subsets_tie_tolerance():
     # a 5e-13 relative gap is a tie: nothing may be recorded across it
-    assert recordable_subsets([1.0, 1.0 + 5e-13, 2.0]) == [frozenset({1, 2})]
+    assert recordable([1.0, 1.0 + 5e-13, 2.0]) == [frozenset({1, 2})]
     # exact ties collapse
-    assert recordable_subsets([1.0, 1.0, 2.0]) == [frozenset({1, 2})]
+    assert recordable([1.0, 1.0, 2.0]) == [frozenset({1, 2})]
     # a clearly separated gap is kept
-    assert recordable_subsets([1.0, 1.0 + 1e-9, 2.0]) == [
+    assert recordable([1.0, 1.0 + 1e-9, 2.0]) == [
         frozenset({1}),
         frozenset({1, 2}),
     ]
@@ -90,7 +101,7 @@ def test_recordable_subsets_match_brute_force(ratios):
     gaps = np.diff(srt)
     if np.any((gaps > 0) & (gaps <= 1e-9 * srt[1:])):
         return
-    got = set(recordable_subsets(arr))
+    got = set(recordable(arr))
     assert got == brute_force_recordable(list(arr))
 
 
@@ -103,7 +114,7 @@ def test_recordable_subsets_match_brute_force(ratios):
 )
 @settings(max_examples=300)
 def test_recorded_subsets_form_a_chain(ratios):
-    recorded = recordable_subsets(np.array(ratios))
+    recorded = recordable(np.array(ratios))
     assert len(recorded) <= len(ratios) - 1
     for small, big in zip(recorded, recorded[1:]):
         assert small < big
@@ -111,19 +122,19 @@ def test_recorded_subsets_form_a_chain(ratios):
 
 def test_record_step_examples():
     ledger = SubsetLedger(2)
-    got = record_step(shear2_map(), [1.0, 0.5], ledger)
+    got = record_one(shear2_map(), [1.0, 0.5], ledger)
     assert got == [frozenset({2})]
     assert ledger.recorded == {0b10: (2,)}
 
     m = MatrixMap([[2, 1], [1, 2]])
     ledger2 = SubsetLedger(2)
-    assert record_step(m, [1.0, 0.5], ledger2) == [frozenset({1})]
-    assert record_step(m, [1.0, 2.0], ledger2) == [frozenset({2})]
+    assert record_one(m, [1.0, 0.5], ledger2) == [frozenset({1})]
+    assert record_one(m, [1.0, 2.0], ledger2) == [frozenset({2})]
     assert ledger2.is_complete()
 
     ident = MatrixMap(np.eye(3))
     ledger3 = SubsetLedger(3)
-    assert record_step(ident, [0.2, 5.0, 1.0], ledger3) == []
+    assert record_one(ident, [0.2, 5.0, 1.0], ledger3) == []
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +244,8 @@ def test_run_halts_on_positive_matrix():
     assert report.samples_used >= 2  # universal chain bound for n = 2
     assert report.recorded_count == report.total_subsets == 2
     assert report.remaining_lower_bound == 0
-    assert report.eigen_converged
-    assert report.eigenvalue == pytest.approx(3.0, abs=1e-9)
+    assert report.estimate.converged
+    assert report.estimate.eigenvalue == pytest.approx(3.0, abs=1e-9)
 
 
 def test_run_never_halts_on_shear():
@@ -246,7 +257,7 @@ def test_run_never_halts_on_shear():
     assert report.samples_used == 3000
     assert report.recorded_subsets == ((2,),)
     assert report.remaining_lower_bound == 1
-    assert report.eigenvector is None
+    assert report.estimate is None
     assert report.history_truncated and len(report.history) == 10
 
 
@@ -259,7 +270,7 @@ def test_shear_ratio_ordering_is_fixed():
         x = np.exp(rng.uniform(-6, 6, 2))
         r = (f.matrix @ x) / x
         assert r[0] > r[1]
-        assert recordable_subsets(r) in ([], [frozenset({2})])
+        assert recordable(r) in ([], [frozenset({2})])
 
 
 def test_run_never_halts_on_distinct_diagonal():
@@ -304,7 +315,8 @@ def test_run_on_maxplus_with_interior_eigenvector():
     f = MaxPlusMap([[1, 2], [3, 1]])
     report = run(f, SamplerConfig(seed=4))
     assert report.halted
-    r = ratio_vector(f, [np.sqrt(2.0 / 3.0), 1.0])
+    v = np.array([np.sqrt(2.0 / 3.0), 1.0])
+    r = evaluate(f, v) / v
     np.testing.assert_allclose(r, np.sqrt(6.0), rtol=1e-12)
 
 
@@ -313,7 +325,7 @@ def test_run_trivial_dimension_one():
     report = run(f, SamplerConfig(seed=0))
     assert report.halted and report.samples_used == 0
     assert report.total_subsets == 0
-    assert report.eigenvalue == pytest.approx(2.0)
+    assert report.estimate.eigenvalue == pytest.approx(2.0)
 
 
 def test_run_checks_user_maps_statistically():
@@ -546,10 +558,10 @@ def test_record_step_is_a_one_row_block():
     f = _random_matrix(4, 2)
     stepped, blocked = SubsetLedger(4, history_cap=5), SubsetLedger(4, history_cap=5)
     x = np.exp(np.random.default_rng(8).uniform(-3.0, 3.0, (9, 4)))
-    steps = [record_step(f, row, stepped) for row in x]
+    steps = [record_one(f, row, stepped) for row in x]
     detector._record_block(f, x, blocked)
     assert stepped.recorded == blocked.recorded
     assert stepped.history == blocked.history
     assert stepped.samples_seen == blocked.samples_seen == 9
     for row, got in zip(x, steps):
-        assert got == recordable_subsets(ratio_vector(f, row))
+        assert got == recordable(evaluate(f, row) / row)

@@ -7,13 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conelight import illumination
-from conelight.detector import chain_schedule, recordable_subsets
+from conelight.detector import chain_schedule
 from conelight.geometry import (
     DimensionMismatchError,
     ExtremePoint,
     extreme_points,
     mask_members,
     subset_to_extreme_point,
+    witnessed_masks,
 )
 from conelight.illumination import (
     MAX_CERTIFICATE_N,
@@ -21,7 +22,6 @@ from conelight.illumination import (
     MAX_EXACT_N,
     MAX_ILLUMINATION_N,
     TooLargeError,
-    illuminated_supports,
     illuminates,
     illuminates_numeric,
     illumination_number_exact,
@@ -51,6 +51,19 @@ def reference_supports(w):
         frozenset(int(j) + 1 for j in np.flatnonzero(wv >= s)) for s in values[::-1] if s > 0.0
     ]
     return plus, minus
+
+
+def lit_supports(w):
+    """The positive and negative supports `w` illuminates, each a nested
+    chain shortest first, read from `witnessed_masks` on (w, 0): a mask
+    avoiding index n is a positive support, one holding n complements to a
+    negative support."""
+    d, full = len(w), (2 << len(w)) - 1
+    masks = [m for m in witnessed_masks(np.append(w, 0.0)[np.newaxis])[0].tolist() if m]
+    return (
+        [frozenset(mask_members(m)) for m in masks if not m >> d],
+        [frozenset(mask_members(full - m)) for m in masks[::-1] if m >> d],
+    )
 
 
 def reference_verify(directions, n):
@@ -191,7 +204,7 @@ def test_illuminated_supports_matches_predicate_even_with_ties():
             w = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=n - 1)
             if not np.any(w):
                 continue
-            plus, minus = illuminated_supports(w)
+            plus, minus = lit_supports(w)
             expected = pattern_by_predicate(w, n)
             got = {(1, s) for s in plus} | {(-1, s) for s in minus}
             assert got == expected
@@ -201,7 +214,7 @@ def test_illuminated_supports_with_python_int_masks():
     # (w, 0) has 71 > 62 entries, so the subset masks are Python ints
     rng = np.random.default_rng(71)
     w = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=70)
-    plus, minus = illuminated_supports(w)
+    plus, minus = lit_supports(w)
     assert (plus, minus) == reference_supports(w)
     assert len(plus) == len(minus) == 3
 
@@ -215,7 +228,8 @@ def test_detector_witnesses_exactly_the_illuminated_points(case):
     n, rows = case
     points = extreme_points(n)
     for w in rows:
-        witnessed = recordable_subsets(np.append(w, 0.0), rel_tol=0.0)
+        masks = witnessed_masks(np.append(w, 0.0)[np.newaxis])[0].tolist()
+        witnessed = [mask_members(m) for m in masks if m]
         assert {subset_to_extreme_point(J, n) for J in witnessed} == {
             z for z in points if illuminates(w, z)
         }
@@ -238,11 +252,20 @@ def test_support_kernel_matches_closed_form_predicate(case):
         expected = {(z.sign, z.mask) for z in points if illuminates(w, z)}
         got = {(1, m) for m in prow} | {(-1, m) for m in mrow}
         assert got == expected
-        # both chains shortest first, as illuminated_supports lists them
-        sets = illuminated_supports(w)
+        # both chains shortest first, as lit_supports lists them
+        sets = lit_supports(w)
         assert sets == reference_supports(w)
         assert [sum(1 << (i - 1) for i in s) for s in sets[0]] == prow
         assert [sum(1 << (i - 1) for i in s) for s in sets[1]] == mrow
+
+
+def test_witnessed_in_blocks_matches_one_kernel_call(monkeypatch):
+    # blocks of 3 rows: a partial last block, and an empty direction set
+    monkeypatch.setattr(illumination, "WITNESS_BLOCK_ROWS", 3)
+    block = np.random.default_rng(9).choice([-1.0, 0.0, 0.5, 2.0], size=(8, 4))
+    padded = np.hstack([block, np.zeros((8, 1))])
+    assert illumination._witnessed(block).tolist() == witnessed_masks(padded).tolist()
+    assert illumination._witnessed(np.empty((0, 4))).shape == (0, 4)
 
 
 @settings(max_examples=150, deadline=None)
@@ -330,7 +353,7 @@ def test_illuminated_supports_are_nested_chains():
     rng = np.random.default_rng(8)
     for _ in range(200):
         w = rng.standard_normal(6)
-        plus, minus = illuminated_supports(w)
+        plus, minus = lit_supports(w)
         for fam in (plus, minus):
             for small, big in zip(fam, fam[1:]):
                 assert small < big

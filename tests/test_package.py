@@ -1,6 +1,7 @@
 """Package-wide source checks."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import conelight
@@ -40,3 +41,13 @@ def test_package_reads_no_environment_variable():
     # identical flags must give identical output, whatever the environment
     found = [f"{name}:{node.lineno}" for name, node in _nodes() if _reads_environment(node)]
     assert found == []
+
+
+def test_all_lists_every_public_name():
+    # the imports and __all__ in __init__ are kept by hand and must agree
+    public = [
+        name
+        for name, value in vars(conelight).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    ]
+    assert sorted(conelight.__all__) == sorted(public)
