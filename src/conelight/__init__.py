@@ -12,7 +12,6 @@ oracles), and `detector` (the inequality-recording sampling loop).  The
 from .detector import (
     DetectionReport,
     EigenEstimate,
-    SampleRecord,
     SamplerConfig,
     SubsetLedger,
     chain_schedule,
@@ -74,7 +73,6 @@ __all__ = [
     "MatrixMap",
     "MaxPlusMap",
     "MonomialMap",
-    "SampleRecord",
     "SamplerConfig",
     "SubsetLedger",
     "TooLargeError",

@@ -10,7 +10,6 @@ no environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -19,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import illumination
-from .detector import SAMPLER_MODES, DetectionReport, SamplerConfig, estimate_eigenvector, run
+from .detector import SAMPLER_MODES, SamplerConfig, estimate_eigenvector, run
 from .maps import InvalidMapError, load_map
 
 EXIT_OK = 0
@@ -85,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--max-iters", type=int, dest="max_iterations")
     p.add_argument("--history-cap", type=int)
-    p.add_argument("--history-csv", default=None, help="also write the sample history as CSV")
 
     p = sub.add_parser(
         "eigen",
@@ -105,21 +103,6 @@ def _given(args, names) -> dict:
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
-def _write_history_csv(path: str, report: DetectionReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "point", "ratios", "recorded"])
-        for rec in report.history:
-            writer.writerow(
-                [
-                    rec.index,
-                    json.dumps(list(rec.point)),
-                    json.dumps(list(rec.ratios)),
-                    json.dumps([list(s) for s in rec.recorded]),
-                ]
-            )
-
-
 def _cmd_illuminate_optimal(args) -> int:
     directions = illumination.optimal_illuminating_set(args.n)
     _emit(
@@ -135,11 +118,14 @@ def _cmd_illuminate_optimal(args) -> int:
 
 def _read_directions(path: str) -> list[np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ValueError("directions file is nested too deeply to parse") from None
     if isinstance(raw, list):
         try:
             return [np.asarray(w, dtype=float) for w in raw]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise _UsageError("directions file must hold a JSON array of float arrays")
 
@@ -184,8 +170,6 @@ def _cmd_detect(args) -> int:
     cone_map = load_map(args.map)
     cfg = SamplerConfig(**_given(args, [field.name for field in fields(SamplerConfig)]))
     report = run(cone_map, cfg)
-    if args.history_csv:
-        _write_history_csv(args.history_csv, report)
     _emit({"command": "detect", **report.to_dict()})
     return EXIT_OK if report.halted else EXIT_NOT_HALTED
 

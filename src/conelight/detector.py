@@ -37,7 +37,14 @@ import numpy as np
 
 from .geometry import as_positive_vector, mask_members, witnessed_masks
 from .illumination import proper_chain_depths
-from .maps import DYNAMIC_RANGE_CAP, ConeMap, evaluate, evaluate_batch, verify_cone_map
+from .maps import (
+    DYNAMIC_RANGE_CAP,
+    ConeMap,
+    InvalidMapError,
+    evaluate,
+    evaluate_batch,
+    verify_cone_map,
+)
 
 SAMPLER_MODES = ("unit-box", "log-uniform", "scheduled")
 
@@ -88,23 +95,14 @@ class SamplerConfig:
             raise ValueError("seed must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One detector step: the test point, its ratios, and what it recorded."""
-
-    index: int
-    point: tuple[float, ...]
-    ratios: tuple[float, ...]
-    recorded: tuple[tuple[int, ...], ...]
-
-
 class SubsetLedger:
     """Recorded nonempty proper subsets plus a capped per-sample history.
 
-    History beyond `history_cap` is dropped; the counters keep the full
-    summary either way.  `recorded` maps the bitmask of each recorded
-    subset to its sorted members, which `note_block` computes once, when it
-    first records the mask.
+    History beyond `history_cap` is dropped; `samples_seen` counts every
+    sample either way.  `recorded` maps the bitmask of each recorded subset
+    to its sorted members, which `note_block` computes once, when it first
+    records the mask.  Each history row is already in its document form:
+    {"index", "point", "ratios", "recorded"}, with lists for the values.
     """
 
     def __init__(self, n: int, history_cap: int = SamplerConfig.history_cap):
@@ -115,7 +113,7 @@ class SubsetLedger:
         self.n = n
         self.history_cap = history_cap
         self.recorded: dict[int, tuple[int, ...]] = {}
-        self.history: list[SampleRecord] = []
+        self.history: list[dict] = []
         self.samples_seen = 0
 
     @property
@@ -149,12 +147,12 @@ class SubsetLedger:
             zip(points[:kept].tolist(), ratios[:kept].tolist(), masks[:kept].tolist())
         ):
             self.history.append(
-                SampleRecord(
-                    index=self.samples_seen + i + 1,
-                    point=tuple(point),
-                    ratios=tuple(ratio),
-                    recorded=tuple(self.recorded[m] for m in row if m),
-                )
+                {
+                    "index": self.samples_seen + i + 1,
+                    "point": point,
+                    "ratios": ratio,
+                    "recorded": [list(self.recorded[m]) for m in row if m],
+                }
             )
         self.samples_seen += taken
         return taken
@@ -163,8 +161,14 @@ class SubsetLedger:
 def _record_block(f: ConeMap, points, ledger: SubsetLedger) -> np.ndarray:
     """Evaluate a (B, n) block of test points and record what they witness,
     stopping at the sample that completes the ledger; returns the prefix
-    masks of the samples taken."""
-    ratios = evaluate_batch(f, points) / points
+    masks of the samples taken.  A ratio beyond the double range is an
+    InvalidMapError, as an output beyond it is."""
+    with np.errstate(over="ignore"):
+        ratios = evaluate_batch(f, points) / points
+    if np.isinf(ratios).any():
+        raise InvalidMapError(
+            "ratio_overflow", f"map {f.name!r} gave a ratio f(x)_i / x_i beyond the double range"
+        )
     masks = witnessed_masks(ratios, RATIO_TIE_RTOL)
     return masks[: ledger.note_block(points, ratios, masks)]
 
@@ -194,7 +198,10 @@ class DetectionReport:
 
     `halted` implies every nonempty proper subset was recorded.  The
     eigenvector `estimate` is attempted only after a halt and may be marked
-    unconverged.
+    unconverged.  `history` holds the first samples' rows in their document
+    form; the counts of the document (`recorded_count`, `total_subsets`,
+    `history_truncated`) are read off the other fields, so they cannot
+    disagree with them.
     """
 
     dimension: int
@@ -202,12 +209,9 @@ class DetectionReport:
     config: SamplerConfig
     halted: bool
     samples_used: int
-    recorded_count: int
-    total_subsets: int
     remaining_lower_bound: int
     recorded_subsets: tuple[tuple[int, ...], ...]
-    history: tuple[SampleRecord, ...]
-    history_truncated: bool
+    history: tuple[dict, ...]
     estimate: Optional[EigenEstimate] = None
 
     def to_dict(self) -> dict:
@@ -222,8 +226,8 @@ class DetectionReport:
             "max_iterations": self.config.max_iterations,
             "halted": self.halted,
             "samples_used": self.samples_used,
-            "recorded_count": self.recorded_count,
-            "total_subsets": self.total_subsets,
+            "recorded_count": len(self.recorded_subsets),
+            "total_subsets": 2**self.dimension - 2,
             "remaining_lower_bound": self.remaining_lower_bound,
             "recorded_subsets": [list(s) for s in self.recorded_subsets],
             "eigenvector_estimate": None if estimate is None else {
@@ -232,16 +236,8 @@ class DetectionReport:
                 "residual": estimate.residual,
                 "converged": estimate.converged,
             },
-            "history_truncated": self.history_truncated,
-            "history": [
-                {
-                    "index": rec.index,
-                    "point": list(rec.point),
-                    "ratios": list(rec.ratios),
-                    "recorded": [list(s) for s in rec.recorded],
-                }
-                for rec in self.history
-            ],
+            "history_truncated": self.samples_used > len(self.history),
+            "history": list(self.history),
         }
 
 
@@ -298,17 +294,20 @@ def estimate_eigenvector(
     x = as_positive_vector(x0)
     y = evaluate(f, x)
     iterations = 0
-    while True:
-        ratios = y / x
-        residual = float(np.log(ratios.max()) - np.log(ratios.min()))
-        if residual <= tol or iterations >= max_iter:
-            break
-        nxt = y / y[-1]
-        if not np.all((nxt > 0.0) & np.isfinite(nxt)):
-            break
-        x = nxt
-        y = evaluate(f, x)
-        iterations += 1
+    # overflow is a status here: an infinite ratio is an unconverged
+    # residual, and a non-finite iterate ends the loop
+    with np.errstate(over="ignore"):
+        while True:
+            ratios = y / x
+            residual = float(np.log(ratios.max()) - np.log(ratios.min()))
+            if residual <= tol or iterations >= max_iter:
+                break
+            nxt = y / y[-1]
+            if not np.all((nxt > 0.0) & np.isfinite(nxt)):
+                break
+            x = nxt
+            y = evaluate(f, x)
+            iterations += 1
     return EigenEstimate(
         vector=tuple(float(v) for v in x),
         eigenvalue=float(np.exp(np.mean(np.log(ratios)))),
@@ -378,11 +377,8 @@ def run(f: ConeMap, cfg: SamplerConfig) -> DetectionReport:
         config=cfg,
         halted=halted,
         samples_used=ledger.samples_seen,
-        recorded_count=len(ledger.recorded),
-        total_subsets=ledger.total,
         remaining_lower_bound=min_remaining_lower_bound(ledger),
         recorded_subsets=tuple(sorted(ledger.recorded.values(), key=lambda t: (len(t), t))),
         history=tuple(ledger.history),
-        history_truncated=ledger.samples_seen > len(ledger.history),
         estimate=estimate_eigenvector(f, np.ones(n)) if halted else None,
     )

@@ -138,8 +138,8 @@ def illuminates(w, z: ExtremePoint) -> bool:
     return bool(bottom > 0.0 and (outside.size == 0 or bottom > outside.max()))
 
 
-def illuminates_numeric(w, z: ExtremePoint, step: float = NUMERIC_STEP) -> bool:
-    """Defining small-step check: ||z + t*w||_H < 1 at t = step / max|w_i|.
+def illuminates_numeric(w, z: ExtremePoint) -> bool:
+    """Defining small-step check: ||z + t*w||_H < 1 at t = NUMERIC_STEP / max|w_i|.
 
     Independent of the closed form; the two must agree away from exact
     ties, and the test suite cross-validates them.
@@ -149,7 +149,7 @@ def illuminates_numeric(w, z: ExtremePoint, step: float = NUMERIC_STEP) -> bool:
         raise DimensionMismatchError(
             f"direction has dimension {wv.size}, extreme point has {z.dim}"
         )
-    t = step / np.abs(wv).max()
+    t = NUMERIC_STEP / np.abs(wv).max()
     return hilbert_norm(z.realize() + t * wv) < 1.0
 
 

@@ -76,9 +76,9 @@ class ConeMap:
     def apply_batch(self, x: np.ndarray) -> np.ndarray:
         """`apply` on every row of the (B, dim) array `x`.
 
-        An override must equal `apply` row by row, bit for bit: seeded
-        detector runs evaluate their test points in blocks, and any
-        difference in the last bit can change what a sample records.
+        An override must equal `apply` row by row, bit for bit, so the
+        detector's block size never shows in a report: any difference in
+        the last bit can change what a sample records.
         """
         return np.stack([self.apply(row) for row in x])
 
@@ -116,14 +116,18 @@ def _checked_output(f: ConeMap, xv: np.ndarray, y) -> np.ndarray:
 def evaluate(f: ConeMap, x) -> np.ndarray:
     """Apply `f` to a positive vector, enforcing the output contract."""
     xv = _checked_input(f, as_positive_vector(x))
-    return _checked_output(f, xv, f.apply(xv))
+    with np.errstate(over="ignore"):  # an overflow is reported as non_positive_output
+        y = f.apply(xv)
+    return _checked_output(f, xv, y)
 
 
 def evaluate_batch(f: ConeMap, x) -> np.ndarray:
     """Apply `f` to every row of a (B, dim) array of positive vectors,
     checking the input and the output contract once for the block."""
     xv = _checked_input(f, as_positive_rows(x))
-    return _checked_output(f, xv, f.apply_batch(xv))
+    with np.errstate(over="ignore"):
+        y = f.apply_batch(xv)
+    return _checked_output(f, xv, y)
 
 
 def normalize(f: ConeMap, x) -> np.ndarray:
@@ -148,6 +152,8 @@ def conjugate_log_map(f: ConeMap, v) -> np.ndarray:
 def _as_matrix(data, kind: str) -> np.ndarray:
     try:
         return np.asarray(data, dtype=float)
+    except OverflowError as exc:  # an integer literal beyond the double range
+        raise InvalidMapError("nonfinite_entry", f"{kind} entries must be finite") from exc
     except (TypeError, ValueError) as exc:
         raise InvalidMapError(
             "not_numeric", f"{kind} data must be a rectangular array of numbers"
@@ -224,7 +230,9 @@ class MonomialMap(ConeMap):
             raise InvalidMapError("nonfinite_entry", "monomial exponents must be finite")
         if np.any(p < 0.0):
             raise InvalidMapError("negative_exponent", "monomial exponents must be nonnegative")
-        if np.any(np.abs(p.sum(axis=1) - 1.0) > self.ROW_SUM_TOLERANCE):
+        with np.errstate(over="ignore"):  # a row sum that overflows is not 1 either
+            row_sums = p.sum(axis=1)
+        if np.any(np.abs(row_sums - 1.0) > self.ROW_SUM_TOLERANCE):
             raise InvalidMapError(
                 "row_sum_not_one",
                 "monomial exponent rows must sum to 1 within 1e-12 for degree-1 homogeneity",
@@ -299,38 +307,40 @@ def load_map(path) -> ConeMap:
             spec = json.load(fh)
     except OSError as exc:
         raise InvalidMapError("unreadable_file", f"cannot read map file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also over-long integer literals
         raise InvalidMapError("invalid_json", f"map file is not valid JSON: {exc}") from exc
     return map_from_spec(spec)
 
 
-def verify_cone_map(
-    f: ConeMap,
-    seed: int = 0,
-    samples: int = 200,
-    homogeneity_rtol: float = 1e-9,
-    order_slack: float = 1e-12,
-) -> None:
+# `verify_cone_map`: random points drawn, and the slack allowed on the
+# homogeneity and order checks.
+VERIFY_SAMPLES = 200
+HOMOGENEITY_RTOL = 1e-9
+ORDER_SLACK = 1e-12
+
+
+def verify_cone_map(f: ConeMap, seed: int = 0) -> None:
     """Statistically check homogeneity and order preservation.
 
-    Draws seeded random points and scalings; raises InvalidMapError naming
-    the violated property on the first failure.  Passing is evidence, not
-    proof; the checks are the best available for black-box maps.
+    Draws VERIFY_SAMPLES seeded random points and scalings; raises
+    InvalidMapError naming the violated property on the first failure.
+    Passing is evidence, not proof; the checks are the best available for
+    black-box maps.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
+    for _ in range(VERIFY_SAMPLES):
         x = np.exp(rng.uniform(-2.0, 2.0, f.dim))
         lam = float(np.exp(rng.uniform(-2.0, 2.0)))
         scaled = evaluate(f, lam * x)
         direct = lam * evaluate(f, x)
-        if np.any(np.abs(scaled - direct) > homogeneity_rtol * np.maximum(np.abs(direct), 1e-300)):
+        if np.any(np.abs(scaled - direct) > HOMOGENEITY_RTOL * np.maximum(np.abs(direct), 1e-300)):
             raise InvalidMapError(
                 "not_homogeneous",
                 f"map {f.name!r} failed f(lam*x) = lam*f(x) at lam={lam!r}, x={x.tolist()!r}",
             )
         y = x + rng.uniform(0.0, 1.0, f.dim)
         fx, fy = evaluate(f, x), evaluate(f, y)
-        if np.any(fx > fy + order_slack * (1.0 + np.abs(fy))):
+        if np.any(fx > fy + ORDER_SLACK * (1.0 + np.abs(fy))):
             raise InvalidMapError(
                 "not_order_preserving",
                 f"map {f.name!r} failed f(x) <= f(y) for x <= y at x={x.tolist()!r}",

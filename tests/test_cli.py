@@ -1,14 +1,22 @@
+import contextlib
 import inspect
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conelight import cli, detector
-from conelight.cli import dispatch
+from conelight.cli import build_parser, dispatch
 from conelight.detector import SAMPLER_MODES, SamplerConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, argv):
@@ -184,16 +192,14 @@ def test_detect_scheduled_mode(capsys, matrix_file):
     assert doc["samples_used"] == 2
 
 
-def test_detect_history_csv(capsys, matrix_file, tmp_path):
-    csv_path = tmp_path / "history.csv"
+def test_history_csv_is_a_usage_error(capsys, matrix_file, tmp_path):
+    # the sample history is in the JSON document only
     code, doc = run_cli(
-        capsys,
-        ["detect", "--map", matrix_file, "--seed", "5", "--history-csv", str(csv_path)],
+        capsys, ["detect", "--map", matrix_file, "--history-csv", str(tmp_path / "h.csv")]
     )
-    assert code == 0
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "index,point,ratios,recorded"
-    assert len(lines) == doc["samples_used"] + 1
+    assert code == 1
+    assert doc["error"]["type"] == "usage"
+    assert not (tmp_path / "h.csv").exists()
 
 
 def test_detect_invalid_map_is_exit_1(capsys, tmp_path):
@@ -278,6 +284,86 @@ def test_omitted_options_take_the_library_defaults(monkeypatch, matrix_file):
         assert seen["run"]["cfg"] == SamplerConfig(mode=mode)
 
 
+# An integer literal too large for a double (numpy raises OverflowError on
+# it), and JSON nested deeper than the parser's recursion limit.
+HUGE = "9" * 4000
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        pytest.param("detect", f'{{"type": "matrix", "data": [[{HUGE}, 1], [1, 1]]}}', id="matrix"),
+        pytest.param(
+            "detect", f'{{"type": "maxplus", "data": [[1, 1], [1, -{HUGE}]]}}', id="maxplus"
+        ),
+        pytest.param("eigen", f'{{"type": "monomial", "exponents": [[{HUGE}]]}}', id="monomial"),
+    ],
+)
+def test_map_literal_too_large_for_a_double_is_nonfinite(capsys, tmp_path, command, spec):
+    path = tmp_path / "huge.json"
+    path.write_text(spec)
+    code = dispatch([command, "--map", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    error = json.loads(captured.out)["error"]
+    assert (error["type"], error["violation"]) == ("invalid_map", "nonfinite_entry")
+
+
+def test_directions_literal_too_large_for_a_double_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "dirs.json"
+    path.write_text(f"[[{HUGE}, 1.0]]")
+    code, doc = run_cli(capsys, ["illuminate-verify", "-n", "3", "--directions", str(path)])
+    assert code == 1
+    assert doc["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(_nested(100_000), id="nested"),
+        # more digits than Python converts from a string, which json refuses
+        pytest.param(f'{{"type": "matrix", "data": [[{"9" * 5000}]]}}', id="5000-digits"),
+    ],
+)
+def test_map_past_the_json_parser_limits_is_invalid_json(capsys, tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, doc = run_cli(capsys, ["detect", "--map", str(path)])
+    assert code == 1
+    assert (doc["error"]["type"], doc["error"]["violation"]) == ("invalid_map", "invalid_json")
+
+
+def test_deeply_nested_directions_are_invalid_input(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(_nested(100_000))
+    code, doc = run_cli(capsys, ["illuminate-verify", "-n", "3", "--directions", str(path)])
+    assert code == 1
+    assert doc["error"]["type"] == "invalid_input"
+
+
+def test_ratio_beyond_the_double_range_is_invalid_map(capsys, tmp_path):
+    # f(x)_2 = 1e308 + x_2 is finite, but f(x)_2 / x_2 overflows once x_2 < 0.55
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"type": "matrix", "data": [[1, 1], [1e308, 1]]}))
+    code, doc = run_cli(capsys, ["detect", "--map", str(path), "--max-iters", "50"])
+    assert code == 1
+    assert (doc["error"]["type"], doc["error"]["violation"]) == ("invalid_map", "ratio_overflow")
+
+
+def test_readme_cli_flags_exist():
+    # every --flag the README's CLI section names must be accepted by some
+    # subcommand of the parser
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    commands = build_parser()._subparsers._group_actions[0].choices.values()
+    accepted = {flag for p in commands for action in p._actions for flag in action.option_strings}
+    assert documented and documented <= accepted, documented - accepted
+
+
 def test_bad_arguments_are_exit_1(capsys):
     code, doc = run_cli(capsys, ["illuminate-optimal"])
     assert code == 1
@@ -311,3 +397,94 @@ def test_closed_stdout_is_exit_1_without_a_traceback(n):
         os.close(write_end)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Malformed map specifications and direction files
+# ---------------------------------------------------------------------------
+
+# Entries of a map or direction row: mostly small numbers, so zero,
+# negative and valid rows are common, plus NaN, ±inf, huge literals,
+# numeric strings and values that are no number at all.
+_cells = st.one_of(
+    st.sampled_from([0, 0.0, 1, 2, 0.5, -1, -0.5]),
+    st.floats(),
+    st.sampled_from([1e308, -1e308, 5e-324, 1e-300]),
+    st.integers(300, 4000).map(lambda k: 10**k - 1),
+    st.integers(300, 4000).map(lambda k: 1 - 10**k),
+    st.sampled_from(["1", "0.5", "nan", "-inf", "1e400", "x", ""]),
+    st.sampled_from([None, True, {}, []]),
+)
+_square = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(_cells, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+_arrays = st.one_of(
+    _square,
+    st.integers(1, 4).map(lambda n: [[float(i == j) for j in range(n)] for i in range(n)]),
+    st.recursive(_cells, lambda inner: st.lists(inner, max_size=4), max_leaves=12),
+)
+_specs = st.one_of(
+    st.fixed_dictionaries(
+        {"type": st.sampled_from(["matrix", "maxplus", "shear2", "nope"]), "data": _arrays}
+    ),
+    st.fixed_dictionaries({"type": st.just("monomial"), "exponents": _arrays}),
+    st.dictionaries(st.sampled_from(["type", "data", "exponents"]), _cells | _arrays),
+    _arrays,
+)
+_deep = st.sampled_from([40, 3000, 100_000]).map(_nested)
+_map_texts = st.one_of(
+    _specs.map(json.dumps),
+    _deep,
+    _deep.map(lambda text: f'{{"type": "matrix", "data": {text}}}'),
+    st.sampled_from(["", "{", "[1, 2", "null", '{"type": 3}']),
+)
+_direction_texts = st.one_of(
+    _arrays.map(json.dumps), _specs.map(json.dumps), _deep, st.sampled_from(["", "[", "{}"])
+)
+_argvs = st.one_of(
+    st.tuples(
+        st.just("detect"), _map_texts, st.sampled_from(SAMPLER_MODES), st.integers(1, 50)
+    ).map(lambda t: (["detect", "--map", "FILE", "--mode", t[2], "--max-iters", str(t[3])], t[1])),
+    st.tuples(_map_texts, st.integers(0, 50)).map(
+        lambda t: (["eigen", "--map", "FILE", "--max-iters", str(t[1])], t[0])
+    ),
+    st.tuples(_direction_texts, st.integers(1, 5)).map(
+        lambda t: (["illuminate-verify", "-n", str(t[1]), "--directions", "FILE"], t[0])
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+_DETECT = ["detect", "--map", "FILE", "--max-iters", "50"]
+_VERIFY = ["illuminate-verify", "-n", "3", "--directions", "FILE"]
+
+
+@given(case=_argvs)
+@example(case=(_DETECT, f'{{"type": "matrix", "data": [[{HUGE}]]}}'))
+@example(case=(["eigen", "--map", "FILE", "--max-iters", "50"], _nested(100_000)))
+@example(case=(_VERIFY, f"[[{HUGE}, 1]]"))
+@example(case=(_VERIFY, _nested(100_000)))
+# the output overflows: an invalid map, and no numpy warning may escape
+@example(case=(_DETECT, '{"type": "matrix", "data": [[1e308, 1e308], [1e308, 1e308]]}'))
+# f(x) is finite, but a ratio f(x)_i / x_i overflows
+@example(case=(_DETECT, '{"type": "matrix", "data": [[1, 1], [1e308, 1]]}'))
+@example(
+    case=(
+        ["eigen", "--map", "FILE", "--max-iters", "1"],
+        '{"type": "matrix", "data": [[0, 1e308], [0, 5e-324]]}',
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_malformed_input_is_one_json_document(fuzz_file, case):
+    argv, text = case
+    fuzz_file.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch([str(fuzz_file) if a == "FILE" else a for a in argv])
+    assert code in (0, 1, 2)
+    doc = json.loads(out.getvalue())  # exactly one document, or this raises
+    assert isinstance(doc, dict) and ("error" in doc) == (code == 1)

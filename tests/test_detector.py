@@ -242,7 +242,8 @@ def test_run_halts_on_positive_matrix():
     report = run(m, SamplerConfig(mode="log-uniform", radius=3.0, seed=5))
     assert report.halted
     assert report.samples_used >= 2  # universal chain bound for n = 2
-    assert report.recorded_count == report.total_subsets == 2
+    doc = report.to_dict()
+    assert doc["recorded_count"] == doc["total_subsets"] == 2
     assert report.remaining_lower_bound == 0
     assert report.estimate.converged
     assert report.estimate.eigenvalue == pytest.approx(3.0, abs=1e-9)
@@ -258,7 +259,7 @@ def test_run_never_halts_on_shear():
     assert report.recorded_subsets == ((2,),)
     assert report.remaining_lower_bound == 1
     assert report.estimate is None
-    assert report.history_truncated and len(report.history) == 10
+    assert report.to_dict()["history_truncated"] and len(report.history) == 10
 
 
 def test_shear_ratio_ordering_is_fixed():
@@ -290,8 +291,8 @@ def test_run_unit_box_mode_keeps_first_coordinate_maximal():
     assert not report.halted
     assert set(report.recorded_subsets) == {(1,)}
     for rec in report.history:
-        assert rec.point[0] == 1.0
-        assert all(0.0 < c < 1.0 for c in rec.point[1:])
+        assert rec["point"][0] == 1.0
+        assert all(0.0 < c < 1.0 for c in rec["point"][1:])
 
 
 def test_run_scheduled_mode_exact_sample_count():
@@ -324,7 +325,7 @@ def test_run_trivial_dimension_one():
     f = MatrixMap([[2.0]])
     report = run(f, SamplerConfig(seed=0))
     assert report.halted and report.samples_used == 0
-    assert report.total_subsets == 0
+    assert report.to_dict()["total_subsets"] == 0
     assert report.estimate.eigenvalue == pytest.approx(2.0)
 
 
@@ -393,7 +394,8 @@ def test_report_invariant_halted_means_complete():
     report = run(m, SamplerConfig(seed=9))
     assert isinstance(report, DetectionReport)
     if report.halted:
-        assert report.recorded_count == report.total_subsets
+        doc = report.to_dict()
+        assert doc["recorded_count"] == doc["total_subsets"]
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +502,13 @@ def _assert_matches_reference(f, cfg):
     samples, recorded, history = reference_run(f, cfg)
     assert report.samples_used == samples
     assert set(report.recorded_subsets) == recorded
-    assert report.recorded_count == len(recorded)
-    assert [(r.index, r.point, r.ratios, r.recorded) for r in report.history] == history
+    doc = report.to_dict()
+    assert doc["recorded_count"] == len(recorded)
+    assert doc["history_truncated"] == (samples > len(history))
+    assert [
+        (r["index"], tuple(r["point"]), tuple(r["ratios"]), tuple(map(tuple, r["recorded"])))
+        for r in report.history
+    ] == history
     assert report.halted == (len(recorded) == 2**f.dim - 2)
     sizes = [len(s) for s in recorded]
     deficits = [comb(f.dim, k) - sizes.count(k) for k in range(1, f.dim)]
